@@ -18,7 +18,7 @@ from .paracomplex import is_exact
 class BiPoly:
     """Polynomial sum of c[i,j] * u**i * v**j, held as a zero-free dict."""
 
-    __slots__ = ("c", "_dense")
+    __slots__ = ("c", "_dense", "_rows")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -28,6 +28,7 @@ class BiPoly:
                     c[(int(i), int(j))] = val
         self.c = c
         self._dense = None
+        self._rows = None
 
     # -- constructors -------------------------------------------------
 
@@ -147,15 +148,17 @@ class BiPoly:
 
     def __call__(self, u, v):
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
-            return self._eval_array(u, v)
+            return np.polynomial.polynomial.polyval2d(
+                np.asarray(u), np.asarray(v), self._dense_array()
+            )
         if isinstance(u, float) or isinstance(v, float):
-            return float(self._eval_array(np.float64(u), np.float64(v)))
+            return self._eval_float(float(u), float(v))
         acc = 0
         for (i, j), val in self.c.items():
             acc = acc + val * u**i * v**j
         return acc
 
-    def _eval_array(self, u, v):
+    def _dense_array(self):
         if self._dense is None:
             if self.c:
                 nu = 1 + max(i for (i, j) in self.c)
@@ -166,7 +169,24 @@ class BiPoly:
             for (i, j), val in self.c.items():
                 dense[i, j] = float(val)
             self._dense = dense
-        return np.polynomial.polynomial.polyval2d(np.asarray(u), np.asarray(v), self._dense)
+        return self._dense
+
+    def _eval_float(self, u, v):
+        """Scalar value with polyval2d's operation order, so results match it bit for bit.
+
+        Horner in u on every column of the dense table, then Horner in v;
+        each starts from c[-1] + x*0 as numpy's polyval does.
+        """
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = self._dense_array().tolist()
+        col = [c + u * 0 for c in rows[-1]]
+        for row in rows[-2::-1]:
+            col = [c + acc * u for c, acc in zip(row, col)]
+        acc = col[-1] + v * 0
+        for c in col[-2::-1]:
+            acc = c + acc * v
+        return acc
 
     # -- inspection ------------------------------------------------------
 

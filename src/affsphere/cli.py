@@ -1,13 +1,15 @@
 """Command-line interface: synth, classify, verify, convert.
 
-Exit codes: 0 success, 1 verification failure, 2 input parse error,
-3 invalid arguments (domain, resolution, suite or mode names).
+Exit codes: 0 success, 1 verification failure, 2 input parse error
+(non-finite coefficients included), 3 invalid arguments (domain, probe,
+resolution, suite or mode names; non-finite domain bounds and probes included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -34,13 +36,6 @@ def _fail(code, message):
     return code
 
 
-def _parse_domain(text):
-    try:
-        return Domain.parse(text)
-    except (InvalidDomain, ValueError) as exc:
-        raise InvalidDomain(str(exc)) from exc
-
-
 def _parse_res(text):
     parts = str(text).split(",")
     if len(parts) == 1:
@@ -59,9 +54,12 @@ def _parse_probe(text):
     if len(parts) != 2:
         raise InvalidDomain(f"probe must be u,v, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        p = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise InvalidDomain(f"probe must be numeric, got {text!r}") from exc
+    if not all(map(math.isfinite, p)):
+        raise InvalidDomain(f"probe must be finite, got {text!r}")
+    return p
 
 
 def _emit(obj, out_path):
@@ -112,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_synth(args) -> int:
     curve = io.load_curve(args.curve)
-    domain = _parse_domain(args.domain)
+    domain = Domain.parse(args.domain)
     nu, nv = _parse_res(args.res)
     if not (2 <= nu <= 4096 and 2 <= nv <= 4096):
         raise InvalidDomain(f"resolution {nu}x{nv} outside [2, 4096]")
@@ -134,7 +132,7 @@ def cmd_synth(args) -> int:
 
 def cmd_classify(args) -> int:
     curve = io.load_curve(args.curve)
-    domain = _parse_domain(args.domain)
+    domain = Domain.parse(args.domain)
     nu, _ = _parse_res(args.res)
     if nu < 16 or nu > 4096:
         raise InvalidDomain(f"classification resolution {nu} outside [16, 4096]")
@@ -164,7 +162,7 @@ def _snap_probe(curve, domain, res, p):
 
 def cmd_verify(args) -> int:
     curve = io.load_curve(args.curve)
-    domain = _parse_domain(args.domain)
+    domain = Domain.parse(args.domain)
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
     unknown = [s for s in names if s not in SUITES]
     if unknown:

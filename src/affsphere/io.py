@@ -17,7 +17,7 @@ import json
 import numpy as np
 
 from .paracomplex import ComplexPoly, ParaPoly, scalar_from_text, scalar_to_text
-from .surfaces import HoloCurve, ParaCurve, SurfaceGrid
+from .surfaces import MAX_CURVE_DEGREE, HoloCurve, ParaCurve, SurfaceGrid
 
 SIGNATURES = ("indefinite", "lsc")
 
@@ -33,9 +33,9 @@ def poly_to_pairs(poly):
 def pairs_to_components(pairs):
     if not isinstance(pairs, list):
         raise CurveParseError("polynomial must be an array of [re, im] pairs")
-    if len(pairs) > 33:
+    if len(pairs) > MAX_CURVE_DEGREE + 1:
         raise CurveParseError(
-            f"{len(pairs)} coefficients listed; curve degree is capped at 32"
+            f"{len(pairs)} coefficients listed; curve degree is capped at {MAX_CURVE_DEGREE}"
         )
     out = []
     for k, entry in enumerate(pairs):

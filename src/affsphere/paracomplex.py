@@ -12,12 +12,16 @@ exactness whenever both operands are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 
 def scalar_from_text(text):
-    """Parse a JSON-level scalar: numbers stay float-ish, "p/q" strings are exact."""
+    """Parse a JSON-level scalar: numbers stay float-ish, "p/q" strings are exact.
+
+    JSON NaN and Infinity load as floats; they are refused here.
+    """
     if isinstance(text, str):
         return Fraction(text)
     if isinstance(text, bool):
@@ -25,6 +29,8 @@ def scalar_from_text(text):
     if isinstance(text, int):
         return text
     if isinstance(text, float):
+        if not math.isfinite(text):
+            raise ValueError(f"coefficient {text!r} is not finite")
         return text
     raise ValueError(f"cannot read scalar from {text!r}")
 

@@ -96,12 +96,9 @@ def _det2(a, b):
 
 
 def _density_floats(surf, u, v):
-    d = surf.fields["density"]
-    return (
-        float(d(float(u), float(v))),
-        float(d.partial_u()(float(u), float(v))),
-        float(d.partial_v()(float(u), float(v))),
-    )
+    d, du, dv, _, _, _ = surf._jet_polys("density")
+    u, v = float(u), float(v)
+    return d(u, v), du(u, v), dv(u, v)
 
 
 def _newton_project(surf, p, tol, max_iter=60, max_travel=None):

@@ -17,6 +17,7 @@ normalized to vanish at the origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +48,8 @@ class Domain:
     v1: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.u0, self.u1, self.v0, self.v1))):
+            raise InvalidDomain(f"non-finite domain {self}")
         if not (self.u0 < self.u1 and self.v0 < self.v1):
             raise InvalidDomain(f"degenerate domain {self}")
 
@@ -300,8 +303,8 @@ class Surface:
         return self.fields["density"](u, v)
 
     def grad_density(self, u, v):
-        d = self.fields["density"]
-        return (d.partial_u()(u, v), d.partial_v()(u, v))
+        _, du, dv, _, _, _ = self._jet_polys("density")
+        return (du(u, v), dv(u, v))
 
     # -- jets --------------------------------------------------------------
 

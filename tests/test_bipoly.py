@@ -1,5 +1,6 @@
 """Bivariate polynomial layer: expansion, calculus, evaluation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -120,3 +121,64 @@ def test_array_evaluation_matches_exact():
     for idx in np.ndindex(uu.shape):
         exact = p(Fraction(uu[idx]), Fraction(vv[idx]))
         assert abs(got[idx] - float(exact)) < 1e-12
+
+
+# -- scalar float evaluation -------------------------------------------------
+
+
+def _polyval2d_reference(p, u, v):
+    """Reference value: numpy's polyval2d on 0-d float64 input over the dense table."""
+    nu = 1 + max((i for i, _ in p.c), default=0)
+    nv = 1 + max((j for _, j in p.c), default=0)
+    dense = np.zeros((nu, nv))
+    for (i, j), c in p.c.items():
+        dense[i, j] = float(c)
+    with np.errstate(all="ignore"):
+        return float(np.polynomial.polynomial.polyval2d(np.float64(u), np.float64(v), dense))
+
+
+@st.composite
+def bipolys(draw):
+    """Zero, constant, u-only, v-only or full BiPolys with float or Fraction coefficients."""
+    coeffs = draw(st.sampled_from([
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+        st.fractions(-5, 5, max_denominator=12),
+    ]))
+    shape = draw(st.sampled_from(["zero", "constant", "u-only", "v-only", "full"]))
+    if shape == "zero":
+        return BiPoly()
+    nu = draw(st.integers(1, 9)) if shape in ("u-only", "full") else 0
+    nv = draw(st.integers(1, 9)) if shape in ("v-only", "full") else 0
+    keys = [(i, j) for i in range(nu + 1) for j in range(nv + 1)]
+    return BiPoly(draw(st.dictionaries(st.sampled_from(keys), coeffs, max_size=len(keys))))
+
+
+points = st.floats(-3, 3, allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [math.inf, -math.inf, math.nan]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(bipolys(), points, points, st.sampled_from([float, np.float64]))
+def test_scalar_float_evaluation_is_bitwise_polyval2d(p, u, v, kind):
+    got = p(kind(u), kind(v))
+    want = _polyval2d_reference(p, u, v)
+    assert type(got) is float
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert repr(got) == repr(want)  # signed zeros too
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bipolys(),
+    st.fractions(-3, 3, max_denominator=10),
+    st.fractions(-3, 3, max_denominator=10),
+    st.booleans(),
+)
+def test_exact_points_still_evaluate_exactly(p, u, v, integral):
+    if integral:
+        u, v = int(u), int(v)
+    got = p(u, v)
+    assert got == sum((c * Fraction(u) ** i * Fraction(v) ** j for (i, j), c in p.c.items()), 0)
+    if p.is_exact():
+        assert isinstance(got, (int, Fraction))

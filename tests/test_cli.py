@@ -102,6 +102,59 @@ def test_synth_bad_domain_exits_3(curve_files):
     assert main(["synth", "--curve", curve_files["linear"], "--domain", "a,b,c,d"]) == 3
 
 
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["synth", "classify", "verify"])
+def test_non_finite_coefficient_exits_2_without_output(tmp_path, capsys, bad, command):
+    curve = tmp_path / "curve.json"
+    curve.write_text(
+        '{"signature": "indefinite", "F": [[0, 0], [%s, 0]], "G": [[0, 0], [1, 0]]}' % bad
+    )
+    out = tmp_path / "out.json"
+    assert main([command, "--curve", str(curve), "--res", "16", "--out", str(out)]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_wave_coefficient_exits_2_without_output(tmp_path, capsys, bad):
+    waves = tmp_path / "waves.json"
+    waves.write_text(json.dumps({"U1": ["1", bad], "V1": ["0"], "U2": ["0"], "V2": ["1"]}))
+    out = tmp_path / "curve.json"
+    argv = ["convert", "--mode", "blaschke-inverse", "--in", str(waves), "--out", str(out)]
+    assert main(argv) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_degree_cap_message_names_the_cap(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(
+        {"signature": "indefinite", "F": [["0", "0"]] * 34, "G": [["1", "0"]]}
+    ))
+    assert main(["synth", "--curve", str(curve), "--res", "2"]) == 2
+    assert "capped at 32" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("probe", ["nan,0", "0,inf", "-inf,-inf"])
+def test_classify_non_finite_probe_exits_3_without_output(curve_files, tmp_path, capsys, probe):
+    out = tmp_path / "report.json"
+    argv = ["classify", "--curve", curve_files["quad_cubic"], "--res", "16",
+            "--probe", probe, "--out", str(out)]
+    assert main(argv) == 3
+    assert "invalid arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "classify", "verify"])
+def test_non_finite_domain_exits_3_without_output(curve_files, tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    argv = [command, "--curve", curve_files["quad_cubic"], "--domain", "-inf,inf,-1,1",
+            "--res", "16", "--out", str(out)]
+    assert main(argv) == 3
+    assert "invalid arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_probe_snaps_to_swallowtail(curve_files, capsys):
     code = main(
         [

@@ -207,6 +207,12 @@ def test_domain_parse_and_validation():
         Domain.parse("a,b,c,d")
 
 
+@pytest.mark.parametrize("text", ["-inf,inf,-1,1", "nan,1,-1,1", "-1,1,-1,inf", "-1,1,nan,nan"])
+def test_domain_parse_rejects_non_finite_bounds(text):
+    with pytest.raises(InvalidDomain):
+        Domain.parse(text)
+
+
 def test_sample_grid_layout_row_major():
     curve = para_curve(2, 3)
     grid = sample_grid(curve, Domain(-1, 1, 0, 2), (4, 3))
