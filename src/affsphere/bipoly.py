@@ -44,10 +44,6 @@ class BiPoly:
     def var_v(cls):
         return cls({(0, 1): 1})
 
-    @classmethod
-    def from_terms(cls, terms):
-        return cls(dict(terms))
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -204,9 +200,6 @@ class BiPoly:
 
     def total_degree(self):
         return max((i + j for (i, j) in self.c), default=-1)
-
-    def as_float(self):
-        return BiPoly({k: float(v) for k, v in self.c.items()})
 
     def terms(self):
         """Sorted ((i, j), coeff) pairs, graded lexicographic."""

@@ -19,7 +19,9 @@ import numpy as np
 from .paracomplex import ComplexPoly, ParaPoly, scalar_from_text, scalar_to_text
 from .surfaces import MAX_CURVE_DEGREE, HoloCurve, ParaCurve, SurfaceGrid
 
-SIGNATURES = ("indefinite", "lsc")
+# signature -> (polynomial class, curve class)
+_TYPES = {"indefinite": (ParaPoly, ParaCurve), "lsc": (ComplexPoly, HoloCurve)}
+SIGNATURES = tuple(_TYPES)
 
 
 class CurveParseError(ValueError):
@@ -56,16 +58,30 @@ def curve_to_json(curve) -> dict:
     }
 
 
-def curve_from_json(obj) -> ParaCurve:
+def _read_json(path):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise CurveParseError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CurveParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _signature_types(obj, kind):
+    """(signature, poly class, curve class) named by a curve or generator object."""
     if not isinstance(obj, dict):
-        raise CurveParseError("curve file must be a JSON object")
+        raise CurveParseError(f"{kind} file must be a JSON object")
     sig = obj.get("signature")
     if sig not in SIGNATURES:
         raise CurveParseError(f"signature must be one of {SIGNATURES}, got {sig!r}")
+    return (sig, *_TYPES[sig])
+
+
+def curve_from_json(obj) -> ParaCurve:
+    _, poly_cls, curve_cls = _signature_types(obj, "curve")
     if "F" not in obj or "G" not in obj:
         raise CurveParseError("curve file needs both F and G")
-    poly_cls = ParaPoly if sig == "indefinite" else ComplexPoly
-    curve_cls = ParaCurve if sig == "indefinite" else HoloCurve
     try:
         f = poly_cls(pairs_to_components(obj["F"]))
         g = poly_cls(pairs_to_components(obj["G"]))
@@ -77,14 +93,7 @@ def curve_from_json(obj) -> ParaCurve:
 
 
 def load_curve(path) -> ParaCurve:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise CurveParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CurveParseError(f"{path} is not valid JSON: {exc}") from exc
-    return curve_from_json(obj)
+    return curve_from_json(_read_json(path))
 
 
 def save_curve(curve, path):
@@ -98,21 +107,10 @@ def load_generator(path):
 
     Returns (signature, poly) with the polynomial typed by the signature.
     """
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise CurveParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CurveParseError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise CurveParseError("generator file must be a JSON object")
-    sig = obj.get("signature")
-    if sig not in SIGNATURES:
-        raise CurveParseError(f"signature must be one of {SIGNATURES}, got {sig!r}")
+    obj = _read_json(path)
+    sig, poly_cls, _ = _signature_types(obj, "generator")
     if "poly" not in obj:
         raise CurveParseError("generator file needs a poly entry")
-    poly_cls = ParaPoly if sig == "indefinite" else ComplexPoly
     try:
         return sig, poly_cls(pairs_to_components(obj["poly"]))
     except CurveParseError:
@@ -158,14 +156,7 @@ def waves_from_json(obj):
 
 
 def load_waves(path):
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise CurveParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CurveParseError(f"{path} is not valid JSON: {exc}") from exc
-    return waves_from_json(obj)
+    return waves_from_json(_read_json(path))
 
 
 def save_waves(u1, v1, u2, v2, path):

@@ -121,9 +121,6 @@ class PlanarScalar:
     def is_exact(self) -> bool:
         return is_exact(self.re) and is_exact(self.im)
 
-    def as_floats(self):
-        return (float(self.re), float(self.im))
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -88,7 +88,7 @@ def duality_residual(curve, points, tolerance=1e-8) -> ResidualReport:
     """
     surf = _surface(curve)
     xi = np.array([0.0, 0.0, 1.0])
-    sign = 1.0 if surf.signature == "indefinite" else -1.0
+    sign = surf.curve.unit_sq
     res = []
     for u, v in points:
         u, v = float(u), float(v)
@@ -118,7 +118,7 @@ def two_form_residual(curve, points, tolerance=1e-8) -> ResidualReport:
     dx1^dn1 + dx2^dn2 vanishes in both.
     """
     surf = _surface(curve)
-    sign = 1.0 if surf.signature == "indefinite" else -1.0
+    sign = surf.curve.unit_sq
     res = []
     for u, v in points:
         u, v = float(u), float(v)
@@ -146,7 +146,7 @@ def metric_conformality(curve, points, tolerance=1e-8) -> ResidualReport:
     """Conformality of g = -<dx, dn> in null (indefinite) or isothermal (convex)
     coordinates: g_uv = 0 and g_uu + g_vv = 0, resp. g_uu - g_vv = 0."""
     surf = _surface(curve)
-    sign = 1.0 if surf.signature == "indefinite" else -1.0
+    sign = surf.curve.unit_sq
     res = []
     for u, v in points:
         u, v = float(u), float(v)
@@ -208,7 +208,7 @@ def monge_ampere_residual(curve, graph_patch, tolerance=1e-5) -> ResidualReport:
     through the chart by the inverse function theorem.
     """
     surf = _surface(curve)
-    c = -1.0 if surf.signature == "indefinite" else 1.0
+    c = -surf.curve.unit_sq
     res = []
     for u, v in np.asarray(graph_patch, float):
         jac, det, (p, q) = _chart_solve(surf, u, v)
@@ -235,7 +235,7 @@ def lift_residual(
     theta while leaving the surface data intact.
     """
     surf = _surface(curve)
-    c = -1.0 if surf.signature == "indefinite" else 1.0
+    c = -surf.curve.unit_sq
     res = []
     for u, v in np.asarray(graph_patch, float):
         jac, det, (p, q) = _chart_solve(surf, u, v)

@@ -131,23 +131,23 @@ def _deriv_floats(surf, u, v):
     )
 
 
+def _chart_matrix(surf, u, v):
+    """Differential of (u, v) -> (x1, x2); its determinant is the density."""
+    f1u, f2u, g1u, g2u = _deriv_floats(surf, u, v)
+    s = surf.curve.unit_sq
+    return np.array([[f1u - s * g1u, s * f2u - g2u], [s * f2u + g2u, s * f1u + g1u]])
+
+
 def _null_candidates(surf, u, v):
     """Kernel candidates: rotated rows of the 2x2 chart differential."""
-    f1u, f2u, g1u, g2u = _deriv_floats(surf, u, v)
-    if surf.signature == "indefinite":
-        c1 = np.array([-(f2u - g2u), f1u - g1u])
-        c2 = np.array([-(f1u + g1u), f2u + g2u])
-    else:
-        c1 = np.array([f2u + g2u, f1u + g1u])
-        c2 = np.array([f1u - g1u, g2u - f2u])
-    return c1, c2
+    m = _chart_matrix(surf, u, v)
+    return np.array([-m[0, 1], m[0, 0]]), np.array([-m[1, 1], m[1, 0]])
 
 
-def _chart_matrix(surf, u, v):
-    f1u, f2u, g1u, g2u = _deriv_floats(surf, u, v)
-    if surf.signature == "indefinite":
-        return np.array([[f1u - g1u, f2u - g2u], [f2u + g2u, f1u + g1u]])
-    return np.array([[f1u + g1u, -(f2u + g2u)], [g2u - f2u, g1u - f1u]])
+def _null_direction(surf, u, v):
+    """(unit vector, length) of the larger rotated-row candidate; callers set the floor."""
+    c1, c2 = _null_candidates(surf, u, v)
+    return _unit(c1 if np.hypot(*c1) >= np.hypot(*c2) else c2)
 
 
 def null_vector(curve, p, tols=None):
@@ -162,11 +162,9 @@ def null_vector(curve, p, tols=None):
     lam = float(surf.fields["density"](float(p[0]), float(p[1])))
     if abs(lam) > tols.sing:
         raise NotSingular(f"|lam| = {abs(lam):.3e} exceeds {tols.sing:.3e}")
-    c1, c2 = _null_candidates(surf, p[0], p[1])
-    n1, n2 = np.hypot(*c1), np.hypot(*c2)
-    if max(n1, n2) <= tols.branch:
+    eta, norm = _null_direction(surf, p[0], p[1])
+    if norm <= tols.branch:
         raise BranchPointError("differential vanishes; no null direction")
-    eta, _ = _unit(c1 if n1 >= n2 else c2)
     m = _chart_matrix(surf, p[0], p[1])
     scale = max(np.linalg.norm(m), 1e-300)
     if np.linalg.norm(m @ eta) > 10 * tols.null * scale:
@@ -335,10 +333,12 @@ def _chain_segments(segments):
             for nxt in nbrs:
                 if frozenset((key, nxt)) in unused:
                     chains.append((walk(key, nxt), False))
-    while unused:
-        a, b = next(iter(unused))
-        chain = walk(a, b)
-        chains.append((chain, chain[0] == chain[-1]))
+    # closed loops start at their first segment in grid order, so the
+    # polylines do not depend on set iteration order (string hashes)
+    for a, b in segments:
+        if frozenset((a, b)) in unused:
+            chain = walk(a, b)
+            chains.append((chain, chain[0] == chain[-1]))
     return chains
 
 
@@ -847,11 +847,9 @@ def locate_swallowtails(curve, traced, window_h=None):
             return None, None, None
         if ref_dir is not None and t @ ref_dir < 0:
             t = -t
-        c1, c2 = _null_candidates(surf, q[0], q[1])
-        n1, n2 = np.hypot(*c1), np.hypot(*c2)
-        if max(n1, n2) == 0.0:
+        eta, eta_norm = _null_direction(surf, q[0], q[1])
+        if eta_norm == 0.0:
             return None, None, None
-        eta, _ = _unit(c1 if n1 >= n2 else c2)
         if ref_eta is not None and eta @ ref_eta < 0:
             eta = -eta
         return _det2(t, eta), t, eta
@@ -873,11 +871,14 @@ def locate_swallowtails(curve, traced, window_h=None):
             if d is None:
                 continue
             dets[k], ref_dir, ref_eta = d, t, e
-        for k in range(len(sc) - 1):
-            da, db = dets[k], dets[k + 1]
+        brackets = [(k, k + 1) for k in range(len(sc) - 1)]
+        if sc.closed:
+            brackets.append((len(sc) - 1, 0))
+        for k, k_next in brackets:
+            da, db = dets[k], dets[k_next]
             if da is None or db is None or da * db > 0:
                 continue
-            pa, pb = sc.points[k], sc.points[k + 1]
+            pa, pb = sc.points[k], sc.points[k_next]
             # constant references keep the sign of det continuous while
             # brentq samples the bracket out of order
             _, dir0, eta0 = det_at(pa, sc.tangents[k], None)

@@ -1,13 +1,15 @@
 r"""Surface synthesis from polynomial curve pairs.
 
-An indefinite surface comes from a para-holomorphic pair (F, G) as
+A curve pair F = f1 + e f2, G = g1 + e g2 over the planar ring with unit e,
+e**2 = s, gives
 
-    x = F - conj(G),   n = conj(F) + G,   phi = -Int <n, dx>,
+    x = (f1 - s g1, s f2 + g2),   n = (f1 + s g1, s g2 - f2),   phi = -Int <n, dx>.
 
-a locally strongly convex one from a holomorphic pair as
-
-    psi = (G + conj(F), (|G|^2 - |F|^2)/2 + Re(G F - 2 Int F dG)),
-    conormal (conj(F) - G, 1).
+A para-holomorphic pair (s = +1) gives the indefinite surface x = F - conj(G),
+n = conj(F) + G; a holomorphic pair (s = -1) gives the locally strongly convex
+one x = conj(F) + G, n = conj(F) - G.  In both signatures the conormal
+(n1, n2, 1) annihilates the tangent plane, so the same closed one-form
+-<n, dx> integrates to the potential.
 
 Every derived field (position, conormal, potential, area density) is a
 bivariate polynomial in (u, v); a Surface compiles them once, so jets are
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -111,6 +112,11 @@ class ParaCurve:
                 mags.append(abs(float(c.im)))
         return max(mags)
 
+    @property
+    def unit_sq(self):
+        """Square of the ring unit: +1 (para-complex j) or -1 (complex i)."""
+        return self.F.SCALAR.UNIT_SQ
+
     def is_exact(self):
         return self.F.is_exact() and self.G.is_exact()
 
@@ -180,10 +186,6 @@ class SurfaceGrid:
         return (len(self.u_axis), len(self.v_axis))
 
 
-def _half(exact):
-    return Fraction(1, 2) if exact else 0.5
-
-
 class Surface:
     """Compiled polynomial fields of the surface of a curve pair.
 
@@ -195,77 +197,38 @@ class Surface:
     def __init__(self, curve, _fields=None, _extras=None):
         self.curve = curve
         self.signature = curve.signature
-        if _fields is not None:
-            self.fields = _fields
-            self.extras = _extras
-            self._jets = {}
-            return
-        if curve.signature == "indefinite":
-            fields, extras = self._build_indefinite(curve)
-        else:
-            fields, extras = self._build_lsc(curve)
-        self.fields = fields
-        self.extras = extras
+        if _fields is None:
+            _fields, _extras = self._build(curve)
+        self.fields = _fields
+        self.extras = _extras
         self._jets = {}
 
     # -- construction ---------------------------------------------------
 
     @staticmethod
-    def _build_indefinite(curve):
+    def _build(curve):
+        s = curve.unit_sq
         f1, f2 = expand_planar_poly(curve.F)
         g1, g2 = expand_planar_poly(curve.G)
         f1u, f2u = expand_planar_poly(curve.F.derivative())
         g1u, g2u = expand_planar_poly(curve.G.derivative())
 
-        x1 = f1 - g1
-        x2 = f2 + g2
-        n1 = f1 + g1
-        n2 = g2 - f2
+        x1 = f1 - s * g1
+        x2 = s * f2 + g2
+        n1 = f1 + s * g1
+        n2 = s * g2 - f2
 
         a = -(n1 * x1.partial_u() + n2 * x2.partial_u())
         b = -(n1 * x1.partial_v() + n2 * x2.partial_v())
         _require_closed(a, b)
         phi = _integrate_closed(a, b)
 
-        density = f1u * f1u - f2u * f2u - (g1u * g1u - g2u * g2u)
+        density = s * (f1u * f1u - s * (f2u * f2u) - (g1u * g1u - s * (g2u * g2u)))
         fields = {
             "x1": x1, "x2": x2, "phi": phi, "n1": n1, "n2": n2,
             "density": density,
         }
-        extras = {
-            "f1": f1, "f2": f2, "g1": g1, "g2": g2,
-            "f1u": f1u, "f2u": f2u, "g1u": g1u, "g2u": g2u,
-        }
-        return fields, extras
-
-    @staticmethod
-    def _build_lsc(curve):
-        f1, f2 = expand_planar_poly(curve.F)
-        g1, g2 = expand_planar_poly(curve.G)
-        f1u, f2u = expand_planar_poly(curve.F.derivative())
-        g1u, g2u = expand_planar_poly(curve.G.derivative())
-
-        x1 = f1 + g1
-        x2 = g2 - f2
-        n1 = f1 - g1
-        n2 = -(f2 + g2)
-
-        # phi = (|G|^2 - |F|^2)/2 + Re(G F) - 2 Re(Int F dG), gauge phi(0,0)=0
-        gf1, _ = expand_planar_poly(curve.G * curve.F)
-        h1, _ = expand_planar_poly((curve.F * curve.G.derivative()).antiderivative())
-        half = _half(curve.is_exact())
-        phi = half * (g1 * g1 + g2 * g2 - f1 * f1 - f2 * f2) + gf1 - 2 * h1
-        phi = phi - phi.coeff(0, 0)
-
-        density = g1u * g1u + g2u * g2u - (f1u * f1u + f2u * f2u)
-        fields = {
-            "x1": x1, "x2": x2, "phi": phi, "n1": n1, "n2": n2,
-            "density": density,
-        }
-        extras = {
-            "f1": f1, "f2": f2, "g1": g1, "g2": g2,
-            "f1u": f1u, "f2u": f2u, "g1u": g1u, "g2u": g2u,
-        }
+        extras = {"f1u": f1u, "f2u": f2u, "g1u": g1u, "g2u": g2u}
         return fields, extras
 
     # -- verification fixtures -------------------------------------------
@@ -374,20 +337,21 @@ class Surface:
             unit_normal=con / np.sqrt(con @ con),
         )
 
-    def sample_exact_position(self, u, v):
-        """Position with exact arithmetic when the curve and point are exact."""
-        f = self.fields
-        return (f["x1"](u, v), f["x2"](u, v), f["phi"](u, v))
-
 
 def _require_closed(a, b):
-    """Abort unless the one-form a du + b dv is closed (a_v = b_u)."""
-    diff = a.partial_v() - b.partial_u()
+    """Abort unless the one-form a du + b dv is closed (a_v = b_u).
+
+    Float rounding is judged against the terms being compared, a_v and b_u:
+    differentiation multiplies coefficients by up to the degree, so the
+    sizes of a and b understate it at high degree.
+    """
+    a_v, b_u = a.partial_v(), b.partial_u()
+    diff = a_v - b_u
     if diff.is_zero():
         return
     if diff.is_exact():
         raise ClosednessViolation("potential one-form is not closed")
-    scale = max(a.max_abs_coeff(), b.max_abs_coeff(), 1.0)
+    scale = max(a_v.max_abs_coeff(), b_u.max_abs_coeff(), 1.0)
     if float(diff.max_abs_coeff()) > 1e-12 * float(scale):
         raise ClosednessViolation("potential one-form is not closed")
 
@@ -415,8 +379,8 @@ def compile_surface(curve) -> Surface:
 def graph_potential(curve) -> BiPoly:
     """The potential (third coordinate) polynomial, gauge phi(0,0) = 0.
 
-    For indefinite curves this integrates -<n, dx> after an exact closedness
-    check; for holomorphic curves it assembles the convex formula directly.
+    phi = -Int <n, dx> in both signatures, integrated after an exact
+    closedness check of the one-form.
     """
     return compile_surface(curve).fields["phi"]
 

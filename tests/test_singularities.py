@@ -1,6 +1,11 @@
 """Singular set tracing, null directions, and classification criteria."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,3 +353,37 @@ def test_classification_report_schema():
         assert set(p["evidence"]) == {
             "lambda", "grad_norm", "det_ge", "ddet_ge", "psi0", "dpsi0", "lift_rank"
         }
+
+
+# Pool curve d3-lsc-26 of the classify benchmark: with closed singular curves
+# started from a hash-ordered set it reported 4 or 5 swallowtails depending on
+# PYTHONHASHSEED.
+HASH_SENSITIVE_CURVE = {
+    "signature": "lsc",
+    "F": [["2/3", "17/6"], ["11/6", "-4/3"], ["5/2", "1/2"], ["3/2", "-3"]],
+    "G": [["-5/2", "-7/3"], ["-1/6", "3/2"], ["-2/3", "7/3"], ["2/3", "11/6"]],
+}
+REPORT_SCRIPT = """
+import json, sys
+from affsphere.io import curve_from_json
+from affsphere.singularities import classification_report
+from affsphere.surfaces import Domain
+curve = curve_from_json(json.loads(sys.argv[1]))
+print(json.dumps(classification_report(curve, Domain(), grid_res=64)))
+"""
+
+
+def test_classification_report_independent_of_hash_seed():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    reports = []
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", REPORT_SCRIPT, json.dumps(HASH_SENSITIVE_CURVE)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        reports.append(proc.stdout)
+    assert reports[1:] == reports[:1] * 3
+    tags = [p["class"] for p in json.loads(reports[0])["points"]]
+    assert tags.count(sg.TAG_SWALLOWTAIL) == 5

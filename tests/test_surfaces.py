@@ -12,11 +12,13 @@ from affsphere import io
 from affsphere.bipoly import BiPoly
 from affsphere.paracomplex import ComplexPoly, ParaPoly, para_to_dalembert
 from affsphere.surfaces import (
+    MAX_CURVE_DEGREE,
     ClosednessViolation,
     Domain,
     HoloCurve,
     InvalidDomain,
     ParaCurve,
+    Surface,
     _require_closed,
     compile_surface,
     graph_potential,
@@ -91,6 +93,77 @@ def test_cubic_quartic_potential_polynomial():
         (8, 0): h, (6, 2): -2, (4, 4): 3, (2, 6): -2, (0, 8): h,
     }
     assert dict(phi.c) == expected
+
+
+def _random_exact_curve(rng, curve_cls, poly_cls, degree):
+    def q():
+        return Fraction(int(rng.integers(-12, 13)), int(rng.integers(1, 7)))
+
+    def poly():
+        lead = (0, 0)
+        while lead == (0, 0):
+            lead = (q(), q())
+        return poly_cls([(q(), q()) for _ in range(degree)] + [lead])
+
+    return curve_cls(poly(), poly())
+
+
+def _closed_form_potential(curve, u, v):
+    """1/2 (mod G - mod F) - s (Re(G F) - 2 Re Int F dG) at u + e v, e**2 = s.
+
+    With s = -1 this is the convex (holomorphic) formula; with s = +1 the
+    same expression holds for the para-holomorphic pair.  mod is
+    PlanarScalar.modulus, z conj(z).
+    """
+    F, G = curve.F, curve.G
+    s = F.SCALAR.UNIT_SQ
+    z = F.SCALAR(u, v)
+    h = (F * G.derivative()).antiderivative()
+    return Fraction(1, 2) * (G(z).modulus() - F(z).modulus()) - s * (
+        (G * F)(z).re - 2 * h(z).re
+    )
+
+
+@pytest.mark.parametrize(
+    "curve_cls, poly_cls", [(HoloCurve, ComplexPoly), (ParaCurve, ParaPoly)]
+)
+def test_potential_matches_closed_form_oracle(curve_cls, poly_cls):
+    # phi and the oracle both have degree <= 2d, so agreeing on a
+    # (2d+1) x (2d+1) grid of integer points makes them the same polynomial
+    rng = np.random.default_rng(404)
+    for degree in range(1, 7):
+        for _ in range(2):
+            curve = _random_exact_curve(rng, curve_cls, poly_cls, degree)
+            phi = graph_potential(curve)
+            assert phi.is_exact()
+            origin = _closed_form_potential(curve, 0, 0)
+            nodes = range(-degree, degree + 1)
+            for u in nodes:
+                for v in nodes:
+                    assert phi(u, v) == _closed_form_potential(curve, u, v) - origin
+
+
+@pytest.mark.parametrize("bound", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize(
+    "curve_cls, poly_cls", [(HoloCurve, ComplexPoly), (ParaCurve, ParaPoly)]
+)
+def test_float_curve_of_capped_degree_passes_closedness(curve_cls, poly_cls, bound):
+    rng = np.random.default_rng(5)
+
+    def poly():
+        return poly_cls(
+            [(float(a), float(b)) for a, b in rng.uniform(-bound, bound, (MAX_CURVE_DEGREE + 1, 2))]
+        )
+
+    surf = Surface(curve_cls(poly(), poly()))
+    assert surf.fields["phi"].total_degree() == 2 * MAX_CURVE_DEGREE
+    # the float tolerance still rejects a form that is not closed
+    f = surf.fields
+    a = -(f["n1"] * f["x1"].partial_u() + f["n2"] * f["x2"].partial_u())
+    b = -(f["n1"] * f["x1"].partial_v() + f["n2"] * f["x2"].partial_v())
+    _require_closed(a, b)
+    with pytest.raises(ClosednessViolation):
+        _require_closed(a + 1e-9 * float(a.max_abs_coeff()) * BiPoly({(3, 5): 1}), b)
 
 
 def test_cubic_quartic_position_at_unit_point():
