@@ -4,10 +4,17 @@ Internal engine for the surface fields: positions, conormals, potentials and
 area densities are all polynomials in (u, v), so jets, gradients and the
 potential integration reduce to coefficient manipulation here.  Exactness is
 preserved whenever the inputs are exact.
+
+Exact products convolve integer numerators over a common denominator and
+divide once per output term, rather than multiplying Fractions term by term.
+Grids are evaluated on the tensor product of their axes (``polygrid2d``),
+which takes O(d N^2) work and memory linear in N^2 instead of a meshgrid's
+O(d^2 N^2).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +81,8 @@ class BiPoly:
 
     def __mul__(self, other):
         if isinstance(other, BiPoly):
+            if self.is_exact() and other.is_exact():
+                return self._exact_mul(other)
             out = {}
             for (i1, j1), a in self.c.items():
                 for (i2, j2), b in other.c.items():
@@ -85,6 +94,29 @@ class BiPoly:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def _exact_mul(self, other):
+        """Exact product: convolve integer numerators, then divide once per term.
+
+        A coefficient is int where every pair of factors that meets in it is
+        int x int, and Fraction otherwise, as termwise multiplication gives.
+        """
+        la, na, fa = _numerators(self.c)
+        lb, nb, fb = _numerators(other.c)
+        out = {}
+        for (i1, j1), a in na.items():
+            for (i2, j2), b in nb.items():
+                k = (i1 + i2, j1 + j2)
+                out[k] = out.get(k, 0) + a * b
+        if len(fa) == len(na) or len(fb) == len(nb):
+            frac = out.keys()  # every pair has a Fraction factor
+        else:
+            frac = {(i1 + i2, j1 + j2) for (i1, j1) in fa for (i2, j2) in nb}
+            frac.update((i1 + i2, j1 + j2) for (i1, j1) in na for (i2, j2) in fb)
+        den = la * lb
+        return BiPoly(
+            {k: Fraction(s, den) if k in frac else s // den for k, s in out.items()}
+        )
 
     def _coerce(self, other):
         if isinstance(other, BiPoly):
@@ -154,6 +186,14 @@ class BiPoly:
             acc = acc + val * u**i * v**j
         return acc
 
+    def grid(self, u_axis, v_axis):
+        """Values on the tensor grid u_axis x v_axis, shape (len(u_axis), len(v_axis)).
+
+        polygrid2d runs the same Horner steps per node as polyval2d on the
+        indexing="ij" meshgrid, so the values are bit-identical.
+        """
+        return np.polynomial.polynomial.polygrid2d(u_axis, v_axis, self._dense_array())
+
     def _dense_array(self):
         if self._dense is None:
             if self.c:
@@ -215,6 +255,21 @@ class BiPoly:
                  f"v^{j}" if j > 1 else "v" if j == 1 else ""])
             bits.append(f"{val}*{mono}" if mono else f"{val}")
         return "BiPoly(" + " + ".join(bits) + ")"
+
+
+def _numerators(c):
+    """(L, {key: coeff * L as int}, keys of Fraction coeffs), L the lcm of the denominators."""
+    den = 1
+    frac = []
+    for k, val in c.items():
+        if isinstance(val, Fraction):
+            den = math.lcm(den, val.denominator)
+            frac.append(k)
+    nums = {
+        k: val.numerator * (den // val.denominator) if isinstance(val, Fraction) else val * den
+        for k, val in c.items()
+    }
+    return den, nums, frac
 
 
 def expand_planar_poly(poly):

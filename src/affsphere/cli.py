@@ -1,8 +1,9 @@
 """Command-line interface: synth, classify, verify, convert.
 
-Exit codes: 0 success, 1 verification failure, 2 input parse error
-(non-finite coefficients included), 3 invalid arguments (domain, probe,
-resolution, suite or mode names; non-finite domain bounds and probes included).
+Exit codes: 0 success, 1 verification failure, 2 input error (a file that does
+not parse, non-finite coefficients included, or a curve whose surface cannot
+be compiled), 3 invalid arguments (domain, probe, resolution, suite or mode
+names; non-finite domain bounds and probes included).
 """
 
 from __future__ import annotations
@@ -60,6 +61,14 @@ def _parse_probe(text):
     if not all(map(math.isfinite, p)):
         raise InvalidDomain(f"probe must be finite, got {text!r}")
     return p
+
+
+def _compile(curve):
+    """Compiled surface of the curve; a curve that cannot compile is an input error."""
+    try:
+        return compile_surface(curve)
+    except ValueError as exc:
+        raise io.CurveParseError(f"cannot compile the surface: {exc}") from exc
 
 
 def _emit(obj, out_path):
@@ -121,6 +130,7 @@ def cmd_synth(args) -> int:
             fmt = ext if ext in ("obj", "csv", "json") else "json"
         else:
             fmt = "json"
+    _compile(curve)
     grid = sample_grid(curve, domain, (nu, nv))
     if args.out:
         io.write_grid(grid, args.out, fmt)
@@ -136,6 +146,7 @@ def cmd_classify(args) -> int:
     nu, _ = _parse_res(args.res)
     if nu < 16 or nu > 4096:
         raise InvalidDomain(f"classification resolution {nu} outside [16, 4096]")
+    _compile(curve)
     probes = [_snap_probe(curve, domain, nu, _parse_probe(p)) for p in args.probe]
     report = singularities.classification_report(curve, domain, grid_res=nu, probes=probes)
     _emit(report, args.out)
@@ -168,7 +179,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise InvalidDomain(f"unknown suite name(s): {', '.join(unknown)}")
 
-    surf = compile_surface(curve)
+    surf = _compile(curve)
     flip_q = args.corrupt == "flip-q"
     if args.corrupt == "negate-n1":
         surf = surf.with_patched_fields(negate_n1=True)

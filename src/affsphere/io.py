@@ -25,7 +25,8 @@ SIGNATURES = tuple(_TYPES)
 
 
 class CurveParseError(ValueError):
-    """Malformed curve JSON (schema, coefficient syntax, or degree cap)."""
+    """Malformed curve input: JSON schema, coefficient syntax or degree cap, or a
+    curve whose surface cannot be compiled (raised by the CLI)."""
 
 
 def poly_to_pairs(poly):

@@ -178,11 +178,10 @@ def regular_graph_patch(
     surf = _surface(curve)
     domain = domain or Domain()
     u_axis, v_axis = domain.axes(int(res), int(res))
-    uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
-    lam = np.asarray(surf.fields["density"](uu, vv), float)
+    lam = surf.fields["density"].grid(u_axis, v_axis)
     thresh = max(1e-6, min_rel_density * float(np.max(np.abs(lam))))
-    keep = np.abs(lam) >= thresh
-    pts = np.column_stack([uu[keep], vv[keep]])
+    iu, iv = np.nonzero(np.abs(lam) >= thresh)
+    pts = np.column_stack([u_axis[iu], v_axis[iv]])
     if len(pts) == 0:
         raise PatchNotGraph("no graph points: the chart degenerates everywhere")
     return pts

@@ -509,8 +509,7 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
         return []
 
     u_axis, v_axis = domain.axes(nu, nv)
-    uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
-    lam_grid = np.asarray(surf.fields["density"](uu, vv), float)
+    lam_grid = surf.fields["density"].grid(u_axis, v_axis)
 
     line_curves = _null_line_curves(curve, surf, domain, max(nu, nv), tols)
 

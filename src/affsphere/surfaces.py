@@ -406,18 +406,16 @@ def sample_grid(curve, domain: Domain, res) -> SurfaceGrid:
     """Evaluate the surface fields on a res[0] x res[1] grid over the domain."""
     nu, nv = int(res[0]), int(res[1])
     u_axis, v_axis = domain.axes(nu, nv)
-    uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
-    surf = compile_surface(curve)
-    f = surf.fields
+    f = compile_surface(curve).fields
     return SurfaceGrid(
         curve=curve,
         domain=domain,
         u_axis=u_axis,
         v_axis=v_axis,
-        x1=f["x1"](uu, vv),
-        x2=f["x2"](uu, vv),
-        phi=f["phi"](uu, vv),
-        n1=f["n1"](uu, vv),
-        n2=f["n2"](uu, vv),
-        density=f["density"](uu, vv),
+        x1=f["x1"].grid(u_axis, v_axis),
+        x2=f["x2"].grid(u_axis, v_axis),
+        phi=f["phi"].grid(u_axis, v_axis),
+        n1=f["n1"].grid(u_axis, v_axis),
+        n2=f["n2"].grid(u_axis, v_axis),
+        density=f["density"].grid(u_axis, v_axis),
     )

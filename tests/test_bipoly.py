@@ -182,3 +182,102 @@ def test_exact_points_still_evaluate_exactly(p, u, v, integral):
     assert got == sum((c * Fraction(u) ** i * Fraction(v) ** j for (i, j), c in p.c.items()), 0)
     if p.is_exact():
         assert isinstance(got, (int, Fraction))
+
+
+# -- tensor-grid evaluation ---------------------------------------------------
+
+
+def _dense(p):
+    nu = 1 + max((i for i, _ in p.c), default=0)
+    nv = 1 + max((j for _, j in p.c), default=0)
+    dense = np.zeros((nu, nv))
+    for (i, j), c in p.c.items():
+        dense[i, j] = float(c)
+    return dense
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    bipolys(),
+    st.sampled_from([(1, 1), (2, 2), (7, 13), (13, 7), (16, 5)]),
+    st.data(),
+)
+def test_grid_is_bitwise_polyval2d_on_ij_meshgrid(p, shape, data):
+    u_axis, v_axis = (
+        np.array(data.draw(st.lists(points, min_size=n, max_size=n)), dtype=float)
+        for n in shape
+    )
+    uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
+    with np.errstate(all="ignore"):
+        got = p.grid(u_axis, v_axis)
+        want = np.polynomial.polynomial.polyval2d(uu, vv, _dense(p))
+    assert got.shape == want.shape == shape
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# -- exact products -------------------------------------------------------------
+
+
+def _termwise_product(p, q):
+    """Reference: the product accumulated one coefficient product at a time."""
+    out = {}
+    for (i1, j1), a in p.c.items():
+        for (i2, j2), b in q.c.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + a * b
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _typed(c):
+    return {k: (type(val), val) for k, val in c.items()}
+
+
+@st.composite
+def exact_bipolys(draw, scalars=None):
+    """BiPolys whose coefficients mix int and Fraction, Fraction(n, 1) included."""
+    if scalars is None:
+        scalars = (
+            st.integers(-9, 9)
+            | st.fractions(-5, 5, max_denominator=12)
+            | st.integers(-9, 9).map(Fraction)
+        )
+    nu, nv = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    keys = [(i, j) for i in range(nu + 1) for j in range(nv + 1)]
+    return BiPoly(draw(st.dictionaries(st.sampled_from(keys), scalars, max_size=len(keys))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_bipolys(), exact_bipolys())
+def test_exact_product_matches_termwise_fractions(p, q):
+    got = p * q
+    assert _typed(got.c) == _typed(_termwise_product(p, q))
+    assert got.is_exact()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_bipolys(st.integers(-50, 50)), exact_bipolys(st.integers(-50, 50)))
+def test_integer_product_stays_int(p, q):
+    got = p * q
+    assert got.c == _termwise_product(p, q)
+    assert all(type(c) is int for c in got.c.values())
+
+
+def test_exact_product_drops_cancelled_terms():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    assert (U + V) * (U - V) == U * U - V * V
+    assert ((U + V) * (U - V)).coeff(1, 1) == 0
+    prod = (half * U + third * V) * (half * U - third * V)
+    assert prod.c == {(2, 0): Fraction(1, 4), (0, 2): Fraction(-1, 9)}
+    assert all(type(c) is Fraction for c in prod.c.values())
+    mixed = (U + half * V) * (U - half * V)
+    assert _typed(mixed.c) == {(2, 0): (int, 1), (0, 2): (Fraction, Fraction(-1, 4))}
+    assert (half * U * V * (2 * U) - U * U * V).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_bipolys(), bipolys())
+def test_exact_times_float_keeps_termwise_floats(p, q):
+    q = q + BiPoly({(10, 10): 0.25})  # a float coefficient outside the drawn keys
+    for got, want in ((p * q, _termwise_product(p, q)), (q * p, _termwise_product(q, p))):
+        assert _typed(got.c) == _typed(want)

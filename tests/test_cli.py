@@ -15,6 +15,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
+from affsphere import surfaces
 from affsphere.cli import main
 from affsphere.io import save_curve
 from affsphere.paracomplex import ComplexPoly, ParaPoly
@@ -152,6 +153,26 @@ def test_non_finite_domain_exits_3_without_output(curve_files, tmp_path, capsys,
             "--res", "16", "--out", str(out)]
     assert main(argv) == 3
     assert "invalid arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "error", [surfaces.ClosednessViolation("one-form not closed"), ValueError("no surface")]
+)
+@pytest.mark.parametrize("command", ["synth", "classify", "verify"])
+def test_compile_error_exits_2_without_output(
+    curve_files, tmp_path, capsys, monkeypatch, command, error
+):
+    def fail(curve):
+        raise error
+
+    surfaces._compiled.cache_clear()
+    monkeypatch.setattr(surfaces.Surface, "_build", staticmethod(fail))
+    out = tmp_path / "out.json"
+    argv = [command, "--curve", curve_files["quad_cubic"], "--res", "16", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and str(error) in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Surface synthesis: representation fields, jets, grids, serialization."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,69 @@ def test_float_curve_of_capped_degree_passes_closedness(curve_cls, poly_cls, bou
     _require_closed(a, b)
     with pytest.raises(ClosednessViolation):
         _require_closed(a + 1e-9 * float(a.max_abs_coeff()) * BiPoly({(3, 5): 1}), b)
+
+
+def _termwise_mul(self, other):
+    out = {}
+    for (i1, j1), a in self.c.items():
+        for (i2, j2), b in other.c.items():
+            k = (i1 + i2, j1 + j2)
+            out[k] = out.get(k, 0) + a * b
+    return BiPoly(out)
+
+
+@pytest.mark.parametrize(
+    "curve_cls, poly_cls", [(HoloCurve, ComplexPoly), (ParaCurve, ParaPoly)]
+)
+def test_compile_matches_termwise_product_build(curve_cls, poly_cls, monkeypatch):
+    # exact coefficients mix int and Fraction, so every typing rule of the
+    # integer-numerator product is exercised by the whole construction
+    rng = np.random.default_rng(77)
+
+    def q():
+        n = int(rng.integers(-12, 13))
+        return n if rng.random() < 0.3 else Fraction(n, int(rng.integers(1, 7)))
+
+    def poly(degree):
+        lead = (0, 0)
+        while lead == (0, 0):
+            lead = (q(), q())
+        return poly_cls([(q(), q()) for _ in range(degree)] + [lead])
+
+    curves = [curve_cls(poly(d), poly(d)) for d in range(1, 9)]
+    built = [Surface(c) for c in curves]
+    monkeypatch.setattr(BiPoly, "_exact_mul", _termwise_mul)
+    for curve, surf in zip(curves, built):
+        ref = Surface(curve)
+        for got, want in ((surf.fields, ref.fields), (surf.extras, ref.extras)):
+            assert got.keys() == want.keys()
+            for name in want:
+                assert got[name].is_exact()
+                assert {k: (type(c), c) for k, c in got[name].c.items()} == {
+                    k: (type(c), c) for k, c in want[name].c.items()
+                }, name
+
+
+def test_sample_grid_peak_memory_linear_in_nodes():
+    # a degree-32 curve has degree-64 fields; the peak must stay within ten
+    # float64 arrays of N^2 nodes (six fields plus Horner temporaries), with no
+    # factor of the degree
+    rng = np.random.default_rng(3)
+
+    def poly():
+        pairs = rng.uniform(-1, 1, (MAX_CURVE_DEGREE + 1, 2))
+        return ParaPoly([(float(a), float(b)) for a, b in pairs])
+
+    curve = ParaCurve(poly(), poly())
+    compile_surface(curve)
+    n = 512
+    tracemalloc.start()
+    try:
+        sample_grid(curve, Domain(), (n, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 8 * n * n
 
 
 def test_cubic_quartic_position_at_unit_point():
