@@ -1,9 +1,11 @@
 """Bivariate polynomials over exact (int/Fraction) or float coefficients.
 
-Internal engine for the surface fields: positions, conormals, potentials and
-area densities are all polynomials in (u, v), so jets, gradients and the
-potential integration reduce to coefficient manipulation here.  Exactness is
-preserved whenever the inputs are exact.
+The exact output of a surface: ``Surface.fields``, ``Surface.extras`` and
+``graph_potential`` are BiPolys in (u, v), built on request, and the
+closedness check and the integration of the potential work on their
+coefficients.  Exactness is preserved whenever the inputs are exact.  Float
+evaluation of a surface does not go through this module; surfaces.py
+evaluates fields from the univariate curve data.
 
 Exact products convolve integer numerators over a common denominator and
 divide once per output term, rather than multiplying Fractions term by term.

@@ -67,15 +67,6 @@ def _rel(value, *scales):
     return float(value) / max(1.0, *(float(s) for s in scales))
 
 
-def _d1(surf, name, u, v):
-    p, pu, pv, _, _, _ = surf._jet_polys(name)
-    return float(p(u, v)), float(pu(u, v)), float(pv(u, v))
-
-
-def _jet6(surf, name, u, v):
-    return tuple(float(p(u, v)) for p in surf._jet_polys(name))
-
-
 # -- duality ------------------------------------------------------------------
 
 
@@ -121,11 +112,9 @@ def two_form_residual(curve, points, tolerance=1e-8) -> ResidualReport:
     sign = surf.curve.unit_sq
     res = []
     for u, v in points:
-        u, v = float(u), float(v)
-        _, x1u, x1v = _d1(surf, "x1", u, v)
-        _, x2u, x2v = _d1(surf, "x2", u, v)
-        _, n1u, n1v = _d1(surf, "n1", u, v)
-        _, n2u, n2v = _d1(surf, "n2", u, v)
+        j = surf.field_jets(float(u), float(v))
+        (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
+        (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
         det_x = x1u * x2v - x1v * x2u
         det_n = n1u * n2v - n1v * n2u
         form1 = det_x + sign * det_n
@@ -149,11 +138,9 @@ def metric_conformality(curve, points, tolerance=1e-8) -> ResidualReport:
     sign = surf.curve.unit_sq
     res = []
     for u, v in points:
-        u, v = float(u), float(v)
-        _, x1u, x1v = _d1(surf, "x1", u, v)
-        _, x2u, x2v = _d1(surf, "x2", u, v)
-        _, n1u, n1v = _d1(surf, "n1", u, v)
-        _, n2u, n2v = _d1(surf, "n2", u, v)
+        j = surf.field_jets(float(u), float(v))
+        (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
+        (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
         g_uu = -(x1u * n1u + x2u * n2u)
         g_vv = -(x1v * n1v + x2v * n2v)
         g_uv = -0.5 * ((x1u * n1v + x2u * n2v) + (x1v * n1u + x2v * n2u))
@@ -178,7 +165,7 @@ def regular_graph_patch(
     surf = _surface(curve)
     domain = domain or Domain()
     u_axis, v_axis = domain.axes(int(res), int(res))
-    lam = surf.fields["density"].grid(u_axis, v_axis)
+    lam = surf.density_grid(u_axis, v_axis)
     thresh = max(1e-6, min_rel_density * float(np.max(np.abs(lam))))
     iu, iv = np.nonzero(np.abs(lam) >= thresh)
     pts = np.column_stack([u_axis[iu], v_axis[iv]])
@@ -187,11 +174,13 @@ def regular_graph_patch(
     return pts
 
 
-def _chart_solve(surf, u, v):
-    """Jacobian, its determinant, and the graph gradient (p, q) at one point."""
-    _, x1u, x1v = _d1(surf, "x1", u, v)
-    _, x2u, x2v = _d1(surf, "x2", u, v)
-    _, phiu, phiv = _d1(surf, "phi", u, v)
+def _chart_solve(surf, u, v, jets=None):
+    """Jacobian, its determinant, and the graph gradient (p, q) at one point.
+
+    jets: surf.field_jets(u, v) when the caller already has them.
+    """
+    j = jets or surf.field_jets(float(u), float(v))
+    (_, x1u, x1v, *_), (_, x2u, x2v, *_), (_, phiu, phiv, *_) = j.x1, j.x2, j.phi
     jac = np.array([[x1u, x1v], [x2u, x2v]])
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
     if abs(det) <= 1e-6:
@@ -209,11 +198,12 @@ def monge_ampere_residual(curve, graph_patch, tolerance=1e-5) -> ResidualReport:
     surf = _surface(curve)
     c = -surf.curve.unit_sq
     res = []
-    for u, v in np.asarray(graph_patch, float):
-        jac, det, (p, q) = _chart_solve(surf, u, v)
-        _, _, _, x1uu, x1uv, x1vv = _jet6(surf, "x1", u, v)
-        _, _, _, x2uu, x2uv, x2vv = _jet6(surf, "x2", u, v)
-        _, _, _, phiuu, phiuv, phivv = _jet6(surf, "phi", u, v)
+    for u, v in np.asarray(graph_patch, float).tolist():
+        j = surf.field_jets(u, v)
+        jac, det, (p, q) = _chart_solve(surf, u, v, j)
+        _, _, _, x1uu, x1uv, x1vv = j.x1
+        _, _, _, x2uu, x2uv, x2vv = j.x2
+        _, _, _, phiuu, phiuv, phivv = j.phi
         m = (
             np.array([[phiuu, phiuv], [phiuv, phivv]])
             - p * np.array([[x1uu, x1uv], [x1uv, x1vv]])
@@ -236,11 +226,12 @@ def lift_residual(
     surf = _surface(curve)
     c = -surf.curve.unit_sq
     res = []
-    for u, v in np.asarray(graph_patch, float):
-        jac, det, (p, q) = _chart_solve(surf, u, v)
-        _, x1u, x1v, x1uu, x1uv, x1vv = _jet6(surf, "x1", u, v)
-        _, x2u, x2v, x2uu, x2uv, x2vv = _jet6(surf, "x2", u, v)
-        _, phiu, phiv, phiuu, phiuv, phivv = _jet6(surf, "phi", u, v)
+    for u, v in np.asarray(graph_patch, float).tolist():
+        j = surf.field_jets(u, v)
+        jac, det, (p, q) = _chart_solve(surf, u, v, j)
+        _, x1u, x1v, x1uu, x1uv, x1vv = j.x1
+        _, x2u, x2v, x2uu, x2uv, x2vv = j.x2
+        _, phiu, phiv, phiuu, phiuv, phivv = j.phi
         rhs_u = np.array(
             [phiuu - x1uu * p - x2uu * q, phiuv - x1uv * p - x2uv * q]
         )
@@ -321,7 +312,7 @@ def random_regular_points(curve, n, rng, domain: Domain | None = None):
         tries += 1
         u = rng.uniform(domain.u0, domain.u1)
         v = rng.uniform(domain.v0, domain.v1)
-        if abs(float(surf.fields["density"](u, v))) > 1e-3:
+        if abs(float(surf.area_density(u, v))) > 1e-3:
             out.append((u, v))
     if len(out) < n:
         raise PatchNotGraph("could not find enough regular points")

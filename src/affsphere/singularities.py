@@ -96,9 +96,7 @@ def _det2(a, b):
 
 
 def _density_floats(surf, u, v):
-    d, du, dv, _, _, _ = surf._jet_polys("density")
-    u, v = float(u), float(v)
-    return d(u, v), du(u, v), dv(u, v)
+    return surf.density_jet(float(u), float(v))
 
 
 def _newton_project(surf, p, tol, max_iter=60, max_travel=None):
@@ -122,18 +120,9 @@ def _newton_project(surf, p, tol, max_iter=60, max_travel=None):
 # -- null directions --------------------------------------------------------
 
 
-def _deriv_floats(surf, u, v):
-    e = surf.extras
-    u, v = float(u), float(v)
-    return (
-        float(e["f1u"](u, v)), float(e["f2u"](u, v)),
-        float(e["g1u"](u, v)), float(e["g2u"](u, v)),
-    )
-
-
 def _chart_matrix(surf, u, v):
     """Differential of (u, v) -> (x1, x2); its determinant is the density."""
-    f1u, f2u, g1u, g2u = _deriv_floats(surf, u, v)
+    f1u, f2u, g1u, g2u = surf.chart_derivatives(float(u), float(v))
     s = surf.curve.unit_sq
     return np.array([[f1u - s * g1u, s * f2u - g2u], [s * f2u + g2u, s * f1u + g1u]])
 
@@ -159,7 +148,7 @@ def null_vector(curve, p, tols=None):
     """
     surf = compile_surface(curve)
     tols = tols or _point_tols(curve, p)
-    lam = float(surf.fields["density"](float(p[0]), float(p[1])))
+    lam = float(surf.area_density(float(p[0]), float(p[1])))
     if abs(lam) > tols.sing:
         raise NotSingular(f"|lam| = {abs(lam):.3e} exceeds {tols.sing:.3e}")
     eta, norm = _null_direction(surf, p[0], p[1])
@@ -200,7 +189,7 @@ def _fnf_kind(surf, u, v, tols):
     """
     if surf.signature != "indefinite":
         return None
-    f1u, f2u, g1u, g2u = _deriv_floats(surf, u, v)
+    f1u, f2u, g1u, g2u = surf.chart_derivatives(float(u), float(v))
     if abs(f1u - f2u) <= tols.ff and abs(g1u - g2u) <= tols.ff:
         return "difference"
     if abs(f1u + f2u) <= tols.ff and abs(g1u + g2u) <= tols.ff:
@@ -252,8 +241,12 @@ def _cell_segments(signs, crossings, center_sign):
 
 
 def _marching_squares(surf, u_axis, v_axis, lam_grid):
-    """Segments of {lam=0} as pairs of edge ids, plus edge crossing points."""
-    d = surf.fields["density"]
+    """Segments of {lam=0} as pairs of edge ids, plus edge crossing points.
+
+    lam_grid must come from surf.density_grid, whose nodes equal the scalar
+    density bit for bit, so every bracket handed to brentq changes sign.
+    """
+    d = surf.area_density
     nu, nv = lam_grid.shape
     sgn = np.where(lam_grid >= 0.0, 1, -1)
     crossings = {}
@@ -505,11 +498,11 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
         raise ValueError("trace grid resolution must be at least 16 per axis")
     surf = compile_surface(curve)
     tols = tolerances_for(curve, domain.radius)
-    if surf.fields["density"].is_zero():
+    if surf.density_is_zero:
         return []
 
     u_axis, v_axis = domain.axes(nu, nv)
-    lam_grid = surf.fields["density"].grid(u_axis, v_axis)
+    lam_grid = surf.density_grid(u_axis, v_axis)
 
     line_curves = _null_line_curves(curve, surf, domain, max(nu, nv), tols)
 
@@ -697,7 +690,7 @@ def classify_point(curve, p, traced=None, window_h=None) -> SingularClass:
     if abs(lam) > tols.sing:
         return verdict(TAG_REGULAR)
 
-    f1u, f2u, g1u, g2u = _deriv_floats(surf, u, v)
+    f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
     if max(abs(f1u), abs(f2u), abs(g1u), abs(g2u)) <= tols.branch:
         return verdict(TAG_BRANCH, lift_rank=lift_rank(curve, p))
 
