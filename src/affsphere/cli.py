@@ -1,9 +1,16 @@
 """Command-line interface: synth, classify, verify, convert.
 
 Exit codes: 0 success, 1 verification failure, 2 input error (a file that does
-not parse, non-finite coefficients included, or a curve whose surface cannot
-be compiled), 3 invalid arguments (domain, probe, resolution, suite or mode
-names; non-finite domain bounds and probes included).
+not parse, non-finite coefficients or exact ones beyond float range included,
+a curve whose surface cannot be compiled, or a curve too large for float
+evaluation on the domain), 3 invalid arguments (domain, probe, resolution,
+suite or mode names; non-finite domain bounds and probes included).
+
+Float limit of synth, classify and verify: B = 2 c (d + 1) d^2 r^d <= 1e75, with
+c = max(1, largest |coefficient component|), d >= 1 the degree and
+r = max(1, max|u| + max|v|) over the domain.  B bounds |F|, |G| and their
+first two derivatives, and no computed value is a product of more than four
+of those, so B^4 fits.
 """
 
 from __future__ import annotations
@@ -63,8 +70,17 @@ def _parse_probe(text):
     return p
 
 
-def _compile(curve):
-    """Compiled surface of the curve; a curve that cannot compile is an input error."""
+def _compile(curve, domain):
+    """Compiled surface of the curve; a curve that cannot compile, or that breaks
+    the float limit on the domain (module docstring), is an input error."""
+    d = max(curve.F.degree, curve.G.degree, 1)
+    r = max(1.0, max(abs(domain.u0), abs(domain.u1)) + max(abs(domain.v0), abs(domain.v1)))
+    log_bound = math.log10(2 * (d + 1) * d * d) + math.log10(curve.coeff_scale) + d * math.log10(r)
+    if log_bound > 75:
+        raise io.CurveParseError(
+            f"curve too large for float evaluation on this domain: "
+            f"field bound 1e{log_bound:.0f} exceeds 1e75"
+        )
     try:
         return compile_surface(curve)
     except ValueError as exc:
@@ -130,7 +146,7 @@ def cmd_synth(args) -> int:
             fmt = ext if ext in ("obj", "csv", "json") else "json"
         else:
             fmt = "json"
-    _compile(curve)
+    _compile(curve, domain)
     grid = sample_grid(curve, domain, (nu, nv))
     if args.out:
         io.write_grid(grid, args.out, fmt)
@@ -146,7 +162,7 @@ def cmd_classify(args) -> int:
     nu, _ = _parse_res(args.res)
     if nu < 16 or nu > 4096:
         raise InvalidDomain(f"classification resolution {nu} outside [16, 4096]")
-    _compile(curve)
+    _compile(curve, domain)
     probes = [_snap_probe(curve, domain, nu, _parse_probe(p)) for p in args.probe]
     report = singularities.classification_report(curve, domain, grid_res=nu, probes=probes)
     _emit(report, args.out)
@@ -179,7 +195,7 @@ def cmd_verify(args) -> int:
     if unknown:
         raise InvalidDomain(f"unknown suite name(s): {', '.join(unknown)}")
 
-    surf = _compile(curve)
+    surf = _compile(curve, domain)
     flip_q = args.corrupt == "flip-q"
     if args.corrupt == "negate-n1":
         surf = surf.with_patched_fields(negate_n1=True)

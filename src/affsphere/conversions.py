@@ -12,9 +12,7 @@ from fractions import Fraction
 
 from .paracomplex import (
     ComplexPoly,
-    ComplexScalar,
     DAlembertPair,
-    ParaComplex,
     ParaPoly,
     Poly1,
     para_to_dalembert,
@@ -26,18 +24,26 @@ def _half_for(poly) -> Fraction | float:
     return Fraction(1, 2) if poly.is_exact() else 0.5
 
 
+_CURVE_OF = {ParaPoly: ParaCurve, ComplexPoly: HoloCurve}
+
+
+def _generator_curve(f, poly_cls, name):
+    """(z - e f'(z))/2 and (z + e f'(z))/2 with e the unit of poly_cls's ring."""
+    if not isinstance(f, poly_cls):
+        raise TypeError(f"{name} expects a {poly_cls.__name__}")
+    z = poly_cls.monomial(1)
+    edf = f.derivative() * poly_cls.SCALAR(0, 1)
+    half = _half_for(f)
+    return _CURVE_OF[poly_cls]((z - edf) * half, (z + edf) * half)
+
+
 def cls_to_curve(f: ParaPoly) -> ParaCurve:
     """Curve pair of the para-holomorphic generator f.
 
     F = (z - j f'(z))/2 and G = (z + j f'(z))/2, so the synthesized surface
     is the graph construction over f.
     """
-    if not isinstance(f, ParaPoly):
-        raise TypeError("cls_to_curve expects a ParaPoly")
-    z = ParaPoly.monomial(1)
-    jdf = f.derivative() * ParaComplex(0, 1)
-    half = _half_for(f)
-    return ParaCurve((z - jdf) * half, (z + jdf) * half)
+    return _generator_curve(f, ParaPoly, "cls_to_curve")
 
 
 def cortes_to_holo(f: ComplexPoly) -> HoloCurve:
@@ -45,12 +51,7 @@ def cortes_to_holo(f: ComplexPoly) -> HoloCurve:
 
     F = (z - i f'(z))/2 and G = (z + i f'(z))/2.
     """
-    if not isinstance(f, ComplexPoly):
-        raise TypeError("cortes_to_holo expects a ComplexPoly")
-    z = ComplexPoly.monomial(1)
-    idf = f.derivative() * ComplexScalar(0, 1)
-    half = _half_for(f)
-    return HoloCurve((z - idf) * half, (z + idf) * half)
+    return _generator_curve(f, ComplexPoly, "cortes_to_holo")
 
 
 def curve_to_blaschke(curve: ParaCurve):

@@ -89,7 +89,8 @@ def curve_from_json(obj) -> ParaCurve:
         return curve_cls(f, g)
     except CurveParseError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # OverflowError: an exact coefficient beyond float range
         raise CurveParseError(str(exc)) from exc
 
 

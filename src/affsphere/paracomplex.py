@@ -393,11 +393,6 @@ def para_to_dalembert(F: ParaPoly) -> DAlembertPair:
     return DAlembertPair(Poly1(rho), Poly1(sigma))
 
 
-def dalembert_to_para(pair: DAlembertPair):
-    """The bivariate map (u,v) -> (f1, f2) of the pair (spec-level accessor)."""
-    return pair.as_map()
-
-
 def para_cr_residual(component_map, p, h=1e-5):
     """Central-difference residuals of the para-CR equations for a black-box map.
 

@@ -70,7 +70,7 @@ def _rel(value, *scales):
 # -- duality ------------------------------------------------------------------
 
 
-def duality_residual(curve, points, tolerance=1e-8) -> ResidualReport:
+def duality_residual(curve, points) -> ResidualReport:
     """Residuals of the position/conormal cross-product duality.
 
     Indefinite: psi_u = nu x nu_v, psi_v = nu x nu_u, nu_u = psi_v x xi,
@@ -95,13 +95,13 @@ def duality_residual(curve, points, tolerance=1e-8) -> ResidualReport:
             res.append(
                 _rel(np.linalg.norm(got - want), np.linalg.norm(got), np.linalg.norm(want))
             )
-    return _report("duality", res, tolerance)
+    return _report("duality", res, 1e-8)
 
 
 # -- 2-form annihilation ---------------------------------------------------------
 
 
-def two_form_residual(curve, points, tolerance=1e-8) -> ResidualReport:
+def two_form_residual(curve, points) -> ResidualReport:
     """Pullback residuals of the two canonical 2-forms on the (x, n) lift.
 
     First form: dx1^dx2 + dn1^dn2 vanishes in the indefinite signature; the
@@ -125,13 +125,13 @@ def two_form_residual(curve, points, tolerance=1e-8) -> ResidualReport:
         )
         res.append(_rel(abs(form1), scale1))
         res.append(_rel(abs(form2), scale2))
-    return _report("two_form", res, tolerance)
+    return _report("two_form", res, 1e-8)
 
 
 # -- metric conformality -----------------------------------------------------------
 
 
-def metric_conformality(curve, points, tolerance=1e-8) -> ResidualReport:
+def metric_conformality(curve, points) -> ResidualReport:
     """Conformality of g = -<dx, dn> in null (indefinite) or isothermal (convex)
     coordinates: g_uv = 0 and g_uu + g_vv = 0, resp. g_uu - g_vv = 0."""
     surf = _surface(curve)
@@ -147,26 +147,24 @@ def metric_conformality(curve, points, tolerance=1e-8) -> ResidualReport:
         scale = max(abs(g_uu), abs(g_vv))
         res.append(_rel(abs(g_uv), scale))
         res.append(_rel(abs(g_uu + sign * g_vv), scale))
-    return _report("conformal", res, tolerance)
+    return _report("conformal", res, 1e-8)
 
 
 # -- graph patches ------------------------------------------------------------------
 
 
-def regular_graph_patch(
-    curve, domain: Domain | None = None, res=16, min_rel_density=5e-2
-):
+def regular_graph_patch(curve, domain: Domain | None = None, res=16):
     """Grid points where the (x1, x2) chart is safely invertible.
 
     The chart Jacobian determinant equals the area density, so the filter
-    keeps points with |density| above both the hard graph floor 1e-6 and a
-    relative fraction of the grid maximum (conditioning guard).
+    keeps points with |density| above both the hard graph floor 1e-6 and 5% of
+    the grid maximum (conditioning guard).
     """
     surf = _surface(curve)
     domain = domain or Domain()
     u_axis, v_axis = domain.axes(int(res), int(res))
     lam = surf.density_grid(u_axis, v_axis)
-    thresh = max(1e-6, min_rel_density * float(np.max(np.abs(lam))))
+    thresh = max(1e-6, 5e-2 * float(np.max(np.abs(lam))))
     iu, iv = np.nonzero(np.abs(lam) >= thresh)
     pts = np.column_stack([u_axis[iu], v_axis[iv]])
     if len(pts) == 0:
@@ -189,7 +187,7 @@ def _chart_solve(surf, u, v, jets=None):
     return jac, det, pq
 
 
-def monge_ampere_residual(curve, graph_patch, tolerance=1e-5) -> ResidualReport:
+def monge_ampere_residual(curve, graph_patch) -> ResidualReport:
     """|det Hess_x phi - c| on a graph patch; c = -1 indefinite, +1 convex.
 
     The Hessian in graph coordinates comes from exact (u,v)-jets pushed
@@ -211,12 +209,10 @@ def monge_ampere_residual(curve, graph_patch, tolerance=1e-5) -> ResidualReport:
         )
         det_hess = float(np.linalg.det(m)) / det**2
         res.append(abs(det_hess - c))
-    return _report("monge_ampere", res, tolerance)
+    return _report("monge_ampere", res, 1e-5)
 
 
-def lift_residual(
-    curve, graph_patch, tolerance=1e-5, flip_q=False
-) -> ResidualReport:
+def lift_residual(curve, graph_patch, flip_q=False) -> ResidualReport:
     """Pullback residuals of theta = dz - p dx - q dy and
     omega = c dx^dy - dp^dq along the graph lift (x, y, z, p, q).
 
@@ -249,31 +245,32 @@ def lift_residual(
         res.append(_rel(abs(theta_u), grad_scale))
         res.append(_rel(abs(theta_v), grad_scale))
         res.append(_rel(abs(omega), abs(det)))
-    return _report("lift", res, tolerance)
+    return _report("lift", res, 1e-5)
 
 
 # -- cuspidal cross cap suite -------------------------------------------------------
 
 
-def ccr_residual(curve, domain: Domain | None = None, grid_res=48, tolerance=1e-6):
+def ccr_residual(curve, domain: Domain | None = None):
     """|Psi'(0)| at detected frontal-not-front points, scale-relative.
 
-    Returns a pair of reports: the obstruction residuals, and a non-vacuity
-    control on the frontal (u, v^2, u v^3) whose residual is the ratio
-    1e-3 / |Psi'(0)| (pass means the control test would reject it).
+    The points are samples of the analytic null lines of the singular set,
+    48 per line.  Returns a pair of reports: the obstruction residuals, and a
+    non-vacuity control on the frontal (u, v^2, u v^3) whose residual is the
+    ratio 1e-3 / |Psi'(0)| (pass means the control test would reject it).
     """
     from . import singularities as sg
 
     surf = _surface(curve)
     domain = domain or Domain()
     res = []
-    traced = sg.trace_singular_curves(curve, domain, grid_res)
-    for sc in traced:
-        if sc.kind != "null-line":
-            continue
+    lines = [] if surf.density_is_zero else sg._null_line_curves(
+        curve, surf, domain, 48, sg.tolerances_for(curve, domain.radius)
+    )
+    for sc in lines:
         step = max(1, len(sc.points) // 5)
         for q in sc.points[step::step]:
-            tols = sg.tolerances_for(curve, max(1.0, *np.abs(q)))
+            tols = sg._point_tols(curve, q)
             if sg._fnf_kind(surf, q[0], q[1], tols) is None:
                 continue
             try:
@@ -288,7 +285,7 @@ def ccr_residual(curve, domain: Domain | None = None, grid_res=48, tolerance=1e-
                 * np.linalg.norm(np.column_stack([nj.du, nj.dv])),
             )
             res.append(abs(dpsi0) / scale)
-    main = _report("ccr", res, tolerance)
+    main = _report("ccr", res, 1e-6)
     _, dpsi_control = sg.ccr_psi_control()
     ratio = 1e-3 / max(abs(dpsi_control), 1e-300)
     control = ResidualReport(

@@ -7,6 +7,13 @@ lines of even multiplicity, which sign-based extraction cannot see.  At a
 singular point the kernel direction of the differential, the rank of the
 lifted map, two algebraic frontal conditions, and the determinant criterion
 det(gamma', eta) with its arc-length derivative decide the class label.
+
+Each primitive has one implementation that every stage shares: the level-set
+tangent rot(grad lam) (`_level_tangent`) with its sign alignment (`_aligned`),
+the null direction of one chart matrix (`_null_candidates`,
+`_null_direction`), the five-point window either marched along {lam = 0} or
+stepped along an exact null line (`_window`), and the bracketed root
+(`_bracket_root`) behind both edge crossings and swallowtail search.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .paracomplex import Poly1, para_to_dalembert
+from .paracomplex import para_to_dalembert
 from .surfaces import Domain, compile_surface
 
 TAG_REGULAR = "Regular"
@@ -95,15 +102,26 @@ def _det2(a, b):
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def _aligned(vec, ref):
+    """vec, negated when it points against ref; unchanged when ref is None."""
+    return -vec if ref is not None and vec @ ref < 0 else vec
+
+
 def _density_floats(surf, u, v):
     return surf.density_jet(float(u), float(v))
 
 
-def _newton_project(surf, p, tol, max_iter=60, max_travel=None):
+def _level_tangent(surf, q):
+    """(unit rot(grad lam), |grad lam|) at q: the tangent of the level set of lam."""
+    _, gu, gv = _density_floats(surf, q[0], q[1])
+    return _unit(np.array([-gv, gu]))
+
+
+def _newton_project(surf, p, tol, max_travel=None):
     """Nearest-point Newton iteration onto {lam = 0}; None on failure."""
     q = np.array([float(p[0]), float(p[1])])
     start = q.copy()
-    for _ in range(max_iter):
+    for _ in range(60):
         val, gu, gv = _density_floats(surf, q[0], q[1])
         if abs(val) <= tol:
             return q
@@ -127,19 +145,18 @@ def _chart_matrix(surf, u, v):
     return np.array([[f1u - s * g1u, s * f2u - g2u], [s * f2u + g2u, s * f1u + g1u]])
 
 
-def _null_candidates(surf, u, v):
-    """Kernel candidates: rotated rows of the 2x2 chart differential."""
-    m = _chart_matrix(surf, u, v)
+def _null_candidates(m):
+    """Kernel candidates: rotated rows of the 2x2 chart differential m."""
     return np.array([-m[0, 1], m[0, 0]]), np.array([-m[1, 1], m[1, 0]])
 
 
-def _null_direction(surf, u, v):
+def _null_direction(m):
     """(unit vector, length) of the larger rotated-row candidate; callers set the floor."""
-    c1, c2 = _null_candidates(surf, u, v)
+    c1, c2 = _null_candidates(m)
     return _unit(c1 if np.hypot(*c1) >= np.hypot(*c2) else c2)
 
 
-def null_vector(curve, p, tols=None):
+def null_vector(curve, p):
     """Unit kernel direction of the chart differential at a singular point.
 
     Of the two rotated-row candidates the larger one is returned (they are
@@ -147,14 +164,14 @@ def null_vector(curve, p, tols=None):
     chosen candidate fails the kernel residual check.
     """
     surf = compile_surface(curve)
-    tols = tols or _point_tols(curve, p)
+    tols = _point_tols(curve, p)
     lam = float(surf.area_density(float(p[0]), float(p[1])))
     if abs(lam) > tols.sing:
         raise NotSingular(f"|lam| = {abs(lam):.3e} exceeds {tols.sing:.3e}")
-    eta, norm = _null_direction(surf, p[0], p[1])
+    m = _chart_matrix(surf, p[0], p[1])
+    eta, norm = _null_direction(m)
     if norm <= tols.branch:
         raise BranchPointError("differential vanishes; no null direction")
-    m = _chart_matrix(surf, p[0], p[1])
     scale = max(np.linalg.norm(m), 1e-300)
     if np.linalg.norm(m @ eta) > 10 * tols.null * scale:
         _, _, vt = np.linalg.svd(m)
@@ -215,29 +232,18 @@ class SingularCurve:
         return len(self.points)
 
 
-def _edge_root(f, a, b, fa, fb):
+def _bracket_root(f, a, b, fa, fb, **tol):
+    """Root of f on [a, b] from its end values fa, fb; None when they share a sign.
+
+    tol: brentq's xtol / rtol, which each caller sets for its own variable.
+    """
     if fa == 0.0:
         return a
     if fb == 0.0:
         return b
-    return brentq(f, a, b, xtol=1e-14, rtol=8.9e-16)
-
-
-def _cell_segments(signs, crossings, center_sign):
-    """Pair up the crossed edges of one cell into line segments.
-
-    signs: (s00, s10, s11, s01); crossings: dict edge name -> point for the
-    crossed edges among bottom/right/top/left.
-    """
-    names = list(crossings)
-    if len(names) == 2:
-        return [(names[0], names[1])]
-    if len(names) == 4:
-        # saddle: the center sign says which diagonal pair of corners joins
-        if center_sign == signs[0]:
-            return [("bottom", "right"), ("top", "left")]
-        return [("bottom", "left"), ("right", "top")]
-    return []
+    if (fa < 0.0) == (fb < 0.0):
+        return None
+    return brentq(f, a, b, **tol)
 
 
 def _marching_squares(surf, u_axis, v_axis, lam_grid):
@@ -247,6 +253,7 @@ def _marching_squares(surf, u_axis, v_axis, lam_grid):
     density bit for bit, so every bracket handed to brentq changes sign.
     """
     d = surf.area_density
+    tol = {"xtol": 1e-14, "rtol": 8.9e-16}
     nu, nv = lam_grid.shape
     sgn = np.where(lam_grid >= 0.0, 1, -1)
     crossings = {}
@@ -258,15 +265,15 @@ def _marching_squares(surf, u_axis, v_axis, lam_grid):
         if kind == "h":
             a, b = u_axis[i], u_axis[i + 1]
             v0 = v_axis[j]
-            root = _edge_root(
-                lambda x: d(x, v0), a, b, lam_grid[i, j], lam_grid[i + 1, j]
+            root = _bracket_root(
+                lambda x: d(x, v0), a, b, lam_grid[i, j], lam_grid[i + 1, j], **tol
             )
             crossings[key] = (root, v0)
         else:
             a, b = v_axis[j], v_axis[j + 1]
             u0 = u_axis[i]
-            root = _edge_root(
-                lambda x: d(u0, x), a, b, lam_grid[i, j], lam_grid[i, j + 1]
+            root = _bracket_root(
+                lambda x: d(u0, x), a, b, lam_grid[i, j], lam_grid[i, j + 1], **tol
             )
             crossings[key] = (u0, root)
         return key
@@ -285,17 +292,22 @@ def _marching_squares(surf, u_axis, v_axis, lam_grid):
                 cell_edges["top"] = ("h", i, j + 1)
             if s00 != s01:
                 cell_edges["left"] = ("v", i, j)
-            if not cell_edges:
+            # a cell crosses zero on 0, 2 or 4 of its edges
+            if len(cell_edges) == 2:
+                pairs = [tuple(cell_edges)]
+            elif cell_edges:
+                # saddle: the center sign says which diagonal pair of corners joins
+                center_sign = 1 if d(
+                    0.5 * (u_axis[i] + u_axis[i + 1]), 0.5 * (v_axis[j] + v_axis[j + 1])
+                ) >= 0 else -1
+                if center_sign == s00:
+                    pairs = [("bottom", "right"), ("top", "left")]
+                else:
+                    pairs = [("bottom", "left"), ("right", "top")]
+            else:
                 continue
-            center_sign = 1 if d(
-                0.5 * (u_axis[i] + u_axis[i + 1]), 0.5 * (v_axis[j] + v_axis[j + 1])
-            ) >= 0 else -1
-            for ea, eb in _cell_segments((s00, s10, s11, s01), cell_edges, center_sign):
-                if ea in cell_edges and eb in cell_edges:
-                    ka = edge_point(*cell_edges[ea])
-                    kb = edge_point(*cell_edges[eb])
-                    if ka != kb:
-                        segments.append((ka, kb))
+            for ea, eb in pairs:
+                segments.append((edge_point(*cell_edges[ea]), edge_point(*cell_edges[eb])))
     return segments, crossings
 
 
@@ -305,7 +317,7 @@ def _chain_segments(segments):
     for a, b in segments:
         adjacency.setdefault(a, []).append(b)
         adjacency.setdefault(b, []).append(a)
-    unused = {frozenset((a, b)) for a, b in segments if a != b}
+    unused = {frozenset(segment) for segment in segments}
 
     def walk(start, nxt):
         chain = [start, nxt]
@@ -341,18 +353,13 @@ def _polyline_tangents(surf, pts, tols):
     tangents = np.zeros((n, 2))
     flags = np.zeros(n, dtype=bool)
     for k in range(n):
-        _, gu, gv = _density_floats(surf, pts[k, 0], pts[k, 1])
-        t, norm = _unit(np.array([-gv, gu]))
+        t, norm = _level_tangent(surf, pts[k])
         flags[k] = norm <= tols.deg
         if k + 1 < n:
             step = pts[k + 1] - pts[k]
         else:
             step = pts[k] - pts[k - 1]
-        if flags[k]:
-            t, _ = _unit(step)
-        elif t @ step < 0:
-            t = -t
-        tangents[k] = t
+        tangents[k] = _unit(step)[0] if flags[k] else _aligned(t, step)
     return tangents, flags
 
 
@@ -413,6 +420,13 @@ def _null_line_values(curve):
     return sum_lines, diff_lines
 
 
+# unit direction of the null lines {u - v = c} ("difference") and {u + v = c} ("sum")
+_NULL_LINE_DIRECTION = {
+    "difference": np.array([1.0, 1.0]) / np.sqrt(2),
+    "sum": np.array([1.0, -1.0]) / np.sqrt(2),
+}
+
+
 def _clip_line(domain, kind, c):
     """Segment of {u+v=c} or {u-v=c} inside the domain rectangle, as u-range."""
     if kind == "difference":  # v = u - c
@@ -437,17 +451,8 @@ def _null_line_curves(curve, surf, domain, n_samples, tols):
             us = np.linspace(span[0], span[1], n_samples)
             vs = us - c if kind == "difference" else c - us
             pts = np.column_stack([us, vs])
-            direction = (
-                np.array([1.0, 1.0]) if kind == "difference" else np.array([1.0, -1.0])
-            ) / np.sqrt(2)
-            tangents = np.tile(direction, (len(pts), 1))
-            flags = np.array(
-                [
-                    _unit(np.array(_density_floats(surf, q[0], q[1])[1:]))[1]
-                    <= tols.deg
-                    for q in pts
-                ]
-            )
+            tangents = np.tile(_NULL_LINE_DIRECTION[kind], (len(pts), 1))
+            flags = np.array([_level_tangent(surf, q)[1] <= tols.deg for q in pts])
             curves.append(
                 SingularCurve(
                     points=pts, tangents=tangents, degenerate_flags=flags,
@@ -485,26 +490,23 @@ def _mask_runs(mask, closed):
 def trace_singular_curves(curve, domain: Domain, grid_res=64):
     """All components of {lam = 0} in the domain as SingularCurve polylines.
 
-    Marching squares with root-refined edge crossings catches every
-    sign-changing component; zero lines of even multiplicity are recovered
-    analytically and reported as straight 'null-line' polylines.  An empty
-    list is a normal outcome.
+    Marching squares on a grid_res x grid_res grid with root-refined edge
+    crossings catches every sign-changing component; zero lines of even
+    multiplicity are recovered analytically and reported as straight
+    'null-line' polylines.  An empty list is a normal outcome.
     """
-    if np.isscalar(grid_res):
-        nu = nv = int(grid_res)
-    else:
-        nu, nv = int(grid_res[0]), int(grid_res[1])
-    if nu < 16 or nv < 16:
+    n = int(grid_res)
+    if n < 16:
         raise ValueError("trace grid resolution must be at least 16 per axis")
     surf = compile_surface(curve)
     tols = tolerances_for(curve, domain.radius)
     if surf.density_is_zero:
         return []
 
-    u_axis, v_axis = domain.axes(nu, nv)
+    u_axis, v_axis = domain.axes(n, n)
     lam_grid = surf.density_grid(u_axis, v_axis)
 
-    line_curves = _null_line_curves(curve, surf, domain, max(nu, nv), tols)
+    line_curves = _null_line_curves(curve, surf, domain, n, tols)
 
     segments, crossings = _marching_squares(surf, u_axis, v_axis, lam_grid)
     cell_diag = float(np.hypot(u_axis[1] - u_axis[0], v_axis[1] - v_axis[0]))
@@ -550,13 +552,8 @@ def _march_window(surf, center, tols, h, steps=2):
         return None
 
     def tangent_at(q, align_with=None):
-        _, gu, gv = _density_floats(surf, q[0], q[1])
-        t, norm = _unit(np.array([-gv, gu]))
-        if norm <= tols.deg:
-            return None
-        if align_with is not None and t @ align_with < 0:
-            t = -t
-        return t
+        t, norm = _level_tangent(surf, q)
+        return None if norm <= tols.deg else _aligned(t, align_with)
 
     t0 = tangent_at(q0)
     if t0 is None:
@@ -588,32 +585,42 @@ def _march_window(surf, center, tols, h, steps=2):
 
 def _window_null_fields(surf, points, tols):
     """Unit null vectors along a window: one candidate, sign-aligned."""
-    cands = [_null_candidates(surf, q[0], q[1]) for q in points]
+    cands = [_null_candidates(_chart_matrix(surf, q[0], q[1])) for q in points]
     norms = np.array([[np.hypot(*c1), np.hypot(*c2)] for c1, c2 in cands])
     pick = int(np.argmax(norms.min(axis=0)))
     if norms[:, pick].min() <= tols.branch:
         return None
     etas = []
-    for k, pair in enumerate(cands):
-        eta, _ = _unit(pair[pick])
-        if etas and eta @ etas[-1] < 0:
-            eta = -eta
-        etas.append(eta)
+    for pair in cands:
+        etas.append(_aligned(_unit(pair[pick])[0], etas[-1] if etas else None))
     return np.array(etas)
+
+
+# offsets, in units of the spacing h, of the five-point stencil
+_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def _stencil_derivative(values, h):
     return (-values[4] + 8 * values[3] - 8 * values[1] + values[0]) / (12 * h)
 
 
-def _front_window(surf, p, tols, h):
-    """(points, tangents, etas) for the 5-point determinant stencil at p."""
-    window = _march_window(surf, p, tols, h)
-    if window is None:
-        raise TraceRequired(
-            f"no smooth non-degenerate singular curve through {tuple(p)}"
-        )
-    points, directions = window
+def _window(surf, p, tols, h, null_line=None):
+    """(points, tangents, etas) of the five-point stencil with spacing h at p.
+
+    null_line None marches along {lam = 0}; "sum" or "difference" steps along
+    that exact null line through p instead.
+    """
+    if null_line is None:
+        window = _march_window(surf, p, tols, h)
+        if window is None:
+            raise TraceRequired(
+                f"no smooth non-degenerate singular curve through {tuple(p)}"
+            )
+        points, directions = window
+    else:
+        direction = _NULL_LINE_DIRECTION[null_line]
+        points = np.array([p], float) + (h * _STENCIL)[:, None] * direction
+        directions = np.tile(direction, (5, 1))
     etas = _window_null_fields(surf, points, tols)
     if etas is None:
         raise TraceRequired("null direction degenerates inside the window")
@@ -667,7 +674,7 @@ def _snap_to_traced(p, traced, tol):
     return best[1], best[2]
 
 
-def classify_point(curve, p, traced=None, window_h=None) -> SingularClass:
+def classify_point(curve, p, traced=None) -> SingularClass:
     """Class label of the point of the surface over p, with evidence.
 
     Decision order: regular; branch point; the two frontal-not-front
@@ -690,9 +697,10 @@ def classify_point(curve, p, traced=None, window_h=None) -> SingularClass:
     if abs(lam) > tols.sing:
         return verdict(TAG_REGULAR)
 
+    rank = lift_rank(curve, p)
     f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
     if max(abs(f1u), abs(f2u), abs(g1u), abs(g2u)) <= tols.branch:
-        return verdict(TAG_BRANCH, lift_rank=lift_rank(curve, p))
+        return verdict(TAG_BRANCH, lift_rank=rank)
 
     fnf = _fnf_kind(surf, u, v, tols)
     if fnf is not None:
@@ -701,16 +709,12 @@ def classify_point(curve, p, traced=None, window_h=None) -> SingularClass:
             psi0, dpsi0 = ccr_psi(curve, (u, v))
         except (TraceRequired, NotSingular, BranchPointError):
             pass
-        return verdict(
-            TAG_FRONTAL_NOT_FRONT,
-            lift_rank=lift_rank(curve, p), psi0=psi0, dpsi0=dpsi0,
-        )
+        return verdict(TAG_FRONTAL_NOT_FRONT, lift_rank=rank, psi0=psi0, dpsi0=dpsi0)
 
     if degenerate:
-        return verdict(TAG_DEGENERATE_OTHER, lift_rank=lift_rank(curve, p))
+        return verdict(TAG_DEGENERATE_OTHER, lift_rank=rank)
 
-    rank = lift_rank(curve, p)
-    h = window_h or 0.01 * max(1.0, abs(u), abs(v))
+    h = 0.01 * max(1.0, abs(u), abs(v))
     if traced is not None:
         cell = max(
             float(np.hypot(*np.ptp(sc.points, axis=0))) / max(len(sc) - 1, 1)
@@ -718,7 +722,7 @@ def classify_point(curve, p, traced=None, window_h=None) -> SingularClass:
         ) if traced else 0.0
         if _snap_to_traced((u, v), traced, max(4 * cell, 4 * h)) is None:
             raise TraceRequired(f"({u}, {v}) is not on a traced singular curve")
-    points, directions, etas = _front_window(surf, (u, v), tols, h)
+    points, directions, etas = _window(surf, (u, v), tols, h)
     dets = np.array([_det2(t, e) for t, e in zip(directions, etas)])
     det0 = float(dets[2])
     ddet = float(_stencil_derivative(dets, h))
@@ -751,11 +755,15 @@ def _psi_values(position_jet, normal_jet, gammas, etas):
     return np.array(out)
 
 
-def ccr_psi(curve, p, t_window=0.02):
+# stencil spacing of the cuspidal-cross-cap test
+_PSI_H = 0.01
+
+
+def ccr_psi(curve, p):
     """(Psi(0), Psi'(0)) for the cuspidal-cross-cap test along the curve at p.
 
     Psi(t) = det(dpsi(gamma'), D_eta nu, nu) along the singular curve through
-    p; the derivative comes from a 5-point stencil with spacing t_window/2.
+    p; the derivative comes from a 5-point stencil with spacing _PSI_H.
     At frontal-not-front points the curve is the exact null line; elsewhere a
     marched window is used.  Raises TraceRequired when neither exists.
     """
@@ -765,27 +773,13 @@ def ccr_psi(curve, p, t_window=0.02):
     lam, _, _ = _density_floats(surf, u, v)
     if abs(lam) > tols.sing:
         raise NotSingular(f"({u}, {v}) is not singular")
-    h = t_window / 2.0
-    ts = np.array([-2 * h, -h, 0.0, h, 2 * h])
-
     fnf = _fnf_kind(surf, u, v, tols)
-    if fnf is not None:
-        direction = (
-            np.array([1.0, 1.0]) if fnf == "difference" else np.array([1.0, -1.0])
-        ) / np.sqrt(2)
-        points = np.array([[u, v]]) + ts[:, None] * direction
-        directions = np.tile(direction, (5, 1))
-        etas = _window_null_fields(surf, points, tols)
-        if etas is None:
-            raise TraceRequired("null direction degenerates along the null line")
-    else:
-        points, directions, etas = _front_window(surf, (u, v), tols, h)
-
+    points, directions, etas = _window(surf, (u, v), tols, _PSI_H, null_line=fnf)
     psis = _psi_values(surf.position_jet, surf.normal_jet, zip(points, directions), etas)
-    return float(psis[2]), float(_stencil_derivative(psis, h))
+    return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
 
 
-def ccr_psi_control(t_window=0.02):
+def ccr_psi_control():
     """Same test on the frontal (u, v^2, u v^3), which has nonzero Psi'(0).
 
     A hand-built normal frame stands in for the surface jets; this is the
@@ -814,36 +808,30 @@ def ccr_psi_control(t_window=0.02):
             (normal(u, v + fd) - normal(u, v - fd)) / (2 * fd),
         )
 
-    h = t_window / 2.0
-    ts = np.array([-2 * h, -h, 0.0, h, 2 * h])
-    points = np.column_stack([ts, np.zeros(5)])
+    points = np.column_stack([_PSI_H * _STENCIL, np.zeros(5)])
     directions = np.tile([1.0, 0.0], (5, 1))
     etas = np.tile([0.0, 1.0], (5, 1))
     psis = _psi_values(position_jet, normal_jet, zip(points, directions), etas)
-    return float(psis[2]), float(_stencil_derivative(psis, h))
+    return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
 
 
 # -- swallowtail search ----------------------------------------------------------
 
 
-def locate_swallowtails(curve, traced, window_h=None):
+def locate_swallowtails(curve, traced):
     """Zeros of det(gamma', eta) along traced curves that classify as swallowtails."""
     surf = compile_surface(curve)
     found = []
 
     def det_at(q, ref_dir, ref_eta):
         """Signed determinant with orientation pinned to the references."""
-        _, gu, gv = _density_floats(surf, q[0], q[1])
-        t, norm = _unit(np.array([-gv, gu]))
+        t, norm = _level_tangent(surf, q)
         if norm == 0.0:
             return None, None, None
-        if ref_dir is not None and t @ ref_dir < 0:
-            t = -t
-        eta, eta_norm = _null_direction(surf, q[0], q[1])
+        eta, eta_norm = _null_direction(_chart_matrix(surf, q[0], q[1]))
         if eta_norm == 0.0:
             return None, None, None
-        if ref_eta is not None and eta @ ref_eta < 0:
-            eta = -eta
+        t, eta = _aligned(t, ref_dir), _aligned(eta, ref_eta)
         return _det2(t, eta), t, eta
 
     def project(q):
@@ -881,19 +869,13 @@ def locate_swallowtails(curve, traced, window_h=None):
                 d, _, _ = det_at(project((1 - s) * pa + s * pb), dir0, eta0)
                 return 0.0 if d is None else d
 
-            fa, fb = along(0.0), along(1.0)
-            if fa == 0.0:
-                s_root = 0.0
-            elif fb == 0.0:
-                s_root = 1.0
-            elif fa * fb < 0:
-                s_root = brentq(along, 0.0, 1.0, xtol=1e-13)
-            else:
+            s_root = _bracket_root(along, 0.0, 1.0, along(0.0), along(1.0), xtol=1e-13)
+            if s_root is None:
                 continue
             q = project((1 - s_root) * pa + s_root * pb)
             if any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
                 continue
-            cls = classify_point(curve, q, window_h=window_h)
+            cls = classify_point(curve, q)
             if cls.tag == TAG_SWALLOWTAIL:
                 found.append((q, cls))
     return found
@@ -920,10 +902,11 @@ def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict
             }
         )
 
+    # every node lies on `traced`, so the snap check of classify_point is moot
     for sc in traced:
         for q in sc.points:
             try:
-                cls = classify_point(curve, q, traced=traced)
+                cls = classify_point(curve, q)
             except TraceRequired:
                 continue
             add(q, cls)

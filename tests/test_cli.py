@@ -127,6 +127,43 @@ def test_non_finite_wave_coefficient_exits_2_without_output(tmp_path, capsys, ba
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "classify", "verify"])
+def test_exact_coefficient_beyond_float_range_exits_2_without_output(tmp_path, capsys, command):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(
+        {"signature": "indefinite", "F": [["0", "0"], ["1" + "0" * 400, "0"]],
+         "G": [["0", "0"], ["1", "0"]]}
+    ))
+    out = tmp_path / "out.json"
+    assert main([command, "--curve", str(curve), "--res", "16", "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "classify", "verify"])
+def test_curve_beyond_float_limit_exits_2_without_output(tmp_path, capsys, command):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps(
+        {"signature": "indefinite", "F": [[1e300, 0], [1e300, 0], [1e300, 0]],
+         "G": [[0, 0], [0, 1]]}
+    ))
+    out = tmp_path / "out.csv"
+    assert main([command, "--curve", str(curve), "--res", "16", "--out", str(out)]) == 2
+    assert "too large for float evaluation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "classify", "verify"])
+def test_float_limit_depends_on_the_domain(curve_files, tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    argv = [command, "--curve", curve_files["quad_cubic"], "--res", "16", "--out", str(out)]
+    assert main(argv + ["--domain", "-1e60,1e60,-1e60,1e60"]) == 2
+    assert "too large for float evaluation" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--domain", "-1e3,1e3,-1e3,1e3"]) == 0
+    assert out.exists()
+
+
 def test_degree_cap_message_names_the_cap(tmp_path, capsys):
     curve = tmp_path / "curve.json"
     curve.write_text(json.dumps(
