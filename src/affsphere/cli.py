@@ -243,18 +243,30 @@ def cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
+def _converted(convert, *polys):
+    """convert(*polys), with an exact coefficient beyond float range as an input error.
+
+    The conversion is exact, but the curve it builds takes its coefficient
+    scale in floats.
+    """
+    try:
+        return convert(*polys)
+    except OverflowError as exc:
+        raise io.CurveParseError(f"coefficient beyond float range: {exc}") from exc
+
+
 def cmd_convert(args) -> int:
     mode = args.mode
     if mode == "cls":
         sig, poly = io.load_generator(args.in_file)
         if sig != "indefinite":
             raise io.CurveParseError("cls conversion needs an indefinite generator")
-        io.save_curve(conversions.cls_to_curve(poly), args.out)
+        io.save_curve(_converted(conversions.cls_to_curve, poly), args.out)
     elif mode == "cortes":
         sig, poly = io.load_generator(args.in_file)
         if sig != "lsc":
             raise io.CurveParseError("cortes conversion needs an lsc generator")
-        io.save_curve(conversions.cortes_to_holo(poly), args.out)
+        io.save_curve(_converted(conversions.cortes_to_holo, poly), args.out)
     elif mode == "blaschke":
         curve = io.load_curve(args.in_file)
         if curve.signature != "indefinite":
@@ -262,7 +274,7 @@ def cmd_convert(args) -> int:
         io.save_waves(*conversions.curve_to_blaschke(curve), args.out)
     else:
         waves = io.load_waves(args.in_file)
-        io.save_curve(conversions.blaschke_to_curve(*waves), args.out)
+        io.save_curve(_converted(conversions.blaschke_to_curve, *waves), args.out)
     sys.stderr.write(f"wrote {args.out}\n")
     return 0
 

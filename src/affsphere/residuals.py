@@ -277,8 +277,7 @@ def ccr_residual(curve, domain: Domain | None = None):
                 psi0, dpsi0 = sg.ccr_psi(curve, q)
             except (sg.TraceRequired, sg.NotSingular, sg.BranchPointError):
                 continue
-            pj = surf.position_jet(q[0], q[1])
-            nj = surf.normal_jet(q[0], q[1])
+            pj, nj = surf.lift_jets(q[0], q[1])
             scale = max(
                 1.0,
                 np.linalg.norm(np.column_stack([pj.du, pj.dv]))

@@ -18,10 +18,11 @@ stepped along an exact null line (`_window`), and the bracketed root
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .paracomplex import para_to_dalembert
 from .surfaces import Domain, compile_surface
@@ -181,9 +182,7 @@ def null_vector(curve, p):
 
 def lift_rank(curve, p) -> int:
     """Numeric rank of the 6x2 Jacobian of (position, unit normal)."""
-    surf = compile_surface(curve)
-    pj = surf.position_jet(float(p[0]), float(p[1]))
-    nj = surf.normal_jet(float(p[0]), float(p[1]))
+    pj, nj = compile_surface(curve).lift_jets(p[0], p[1])
     jac = np.column_stack(
         [np.concatenate([pj.du, nj.du]), np.concatenate([pj.dv, nj.dv])]
     )
@@ -232,10 +231,61 @@ class SingularCurve:
         return len(self.points)
 
 
+def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+    """Root of f in [a, b] by Brent's method, from nonzero f(a) = fa and f(b) = fb
+    of opposite signs.
+
+    A step-for-step port of scipy's ``brentq`` (``Zeros/brentq.c``): the same
+    interpolate / extrapolate / bisect choices, the same stopping test on
+    delta = (xtol + rtol |xcur|) / 2 and the same defaults, so it returns the
+    same float.  Raises ValueError on a NaN value of f and RuntimeError when
+    maxiter iterations do not converge.
+    """
+
+    def checked(x, fx):
+        if math.isnan(fx):
+            raise ValueError(f"f({x}) is NaN; Brent's method cannot continue")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = checked(xpre, float(fa)), checked(xcur, float(fb))
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect unless interpolation gives a short step
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # IEEE division gives +-inf or nan here; either bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = checked(xcur, float(f(xcur)))
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _bracket_root(f, a, b, fa, fb, **tol):
     """Root of f on [a, b] from its end values fa, fb; None when they share a sign.
 
-    tol: brentq's xtol / rtol, which each caller sets for its own variable.
+    tol: `_brent`'s xtol / rtol, which each caller sets for its own variable.
     """
     if fa == 0.0:
         return a
@@ -243,14 +293,14 @@ def _bracket_root(f, a, b, fa, fb, **tol):
         return b
     if (fa < 0.0) == (fb < 0.0):
         return None
-    return brentq(f, a, b, **tol)
+    return _brent(f, a, b, fa, fb, **tol)
 
 
 def _marching_squares(surf, u_axis, v_axis, lam_grid):
     """Segments of {lam=0} as pairs of edge ids, plus edge crossing points.
 
     lam_grid must come from surf.density_grid, whose nodes equal the scalar
-    density bit for bit, so every bracket handed to brentq changes sign.
+    density bit for bit, so every bracket handed to `_brent` changes sign.
     """
     d = surf.area_density
     tol = {"xtol": 1e-14, "rtol": 8.9e-16}
@@ -743,12 +793,14 @@ def classify_point(curve, p, traced=None) -> SingularClass:
 # -- cuspidal cross cap obstruction ---------------------------------------------
 
 
-def _psi_values(position_jet, normal_jet, gammas, etas):
-    """det(dpsi(gamma'), D_eta nu, nu) at each window point."""
+def _psi_values(lift_jets, gammas, etas):
+    """det(dpsi(gamma'), D_eta nu, nu) at each window point.
+
+    lift_jets(u, v) gives the (position, unit normal) jets at a point.
+    """
     out = []
     for (q, gdir), eta in zip(gammas, etas):
-        pj = position_jet(q[0], q[1])
-        nj = normal_jet(q[0], q[1])
+        pj, nj = lift_jets(q[0], q[1])
         gamma_dot = gdir[0] * pj.du + gdir[1] * pj.dv
         d_eta_nu = eta[0] * nj.du + eta[1] * nj.dv
         out.append(float(np.linalg.det(np.array([gamma_dot, d_eta_nu, nj.value]))))
@@ -775,7 +827,7 @@ def ccr_psi(curve, p):
         raise NotSingular(f"({u}, {v}) is not singular")
     fnf = _fnf_kind(surf, u, v, tols)
     points, directions, etas = _window(surf, (u, v), tols, _PSI_H, null_line=fnf)
-    psis = _psi_values(surf.position_jet, surf.normal_jet, zip(points, directions), etas)
+    psis = _psi_values(surf.lift_jets, zip(points, directions), etas)
     return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
 
 
@@ -794,24 +846,23 @@ def ccr_psi_control():
         def __init__(self, value, du, dv):
             self.value, self.du, self.dv = value, du, dv
 
-    def position_jet(u, v):
-        return _J(
+    def lift_jets(u, v, fd=1e-6):
+        position = _J(
             np.array([u, v * v, u * v**3]),
             np.array([1.0, 0.0, v**3]),
             np.array([0.0, 2 * v, 3 * u * v**2]),
         )
-
-    def normal_jet(u, v, fd=1e-6):
-        return _J(
+        unit_normal = _J(
             normal(u, v),
             (normal(u + fd, v) - normal(u - fd, v)) / (2 * fd),
             (normal(u, v + fd) - normal(u, v - fd)) / (2 * fd),
         )
+        return position, unit_normal
 
     points = np.column_stack([_PSI_H * _STENCIL, np.zeros(5)])
     directions = np.tile([1.0, 0.0], (5, 1))
     etas = np.tile([0.0, 1.0], (5, 1))
-    psis = _psi_values(position_jet, normal_jet, zip(points, directions), etas)
+    psis = _psi_values(lift_jets, zip(points, directions), etas)
     return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
 
 
@@ -860,7 +911,7 @@ def locate_swallowtails(curve, traced):
                 continue
             pa, pb = sc.points[k], sc.points[k_next]
             # constant references keep the sign of det continuous while
-            # brentq samples the bracket out of order
+            # `_brent` samples the bracket out of order
             _, dir0, eta0 = det_at(pa, sc.tangents[k], None)
             if dir0 is None:
                 continue

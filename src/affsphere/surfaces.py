@@ -388,36 +388,19 @@ class Surface:
     # -- jets --------------------------------------------------------------
 
     def position_jet(self, u, v) -> Jet2:
-        j = self.field_jets(float(u), float(v))
-        return Jet2(*(np.array(t) for t in zip(j.x1, j.x2, j.phi)))
+        return _position_jet(self.field_jets(float(u), float(v)))
 
     def conormal_jet(self, u, v) -> Jet2:
-        j = self.field_jets(float(u), float(v))
-        return Jet2(*(np.array(t) for t in zip(j.n1, j.n2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))))
+        return _conormal_jet(self.field_jets(float(u), float(v)))
 
     def normal_jet(self, u, v) -> Jet2:
-        """Unit normal (n1, n2, 1)/sqrt(delta), delta = n1^2 + n2^2 + 1, by the quotient rule."""
-        nj = self.conormal_jet(u, v)
-        n, n_u, n_v = nj.value, nj.du, nj.dv
-        d = float(n @ n)
-        du, dv = 2 * float(n @ n_u), 2 * float(n @ n_v)
-        duu = 2 * float(n_u @ n_u + n @ nj.duu)
-        duv = 2 * float(n_u @ n_v + n @ nj.duv)
-        dvv = 2 * float(n_v @ n_v + n @ nj.dvv)
-        w = d ** -0.5
-        w_u = -0.5 * du * d**-1.5
-        w_v = -0.5 * dv * d**-1.5
-        w_uu = -0.5 * duu * d**-1.5 + 0.75 * du * du * d**-2.5
-        w_uv = -0.5 * duv * d**-1.5 + 0.75 * du * dv * d**-2.5
-        w_vv = -0.5 * dvv * d**-1.5 + 0.75 * dv * dv * d**-2.5
-        return Jet2(
-            value=n * w,
-            du=n_u * w + n * w_u,
-            dv=n_v * w + n * w_v,
-            duu=nj.duu * w + 2 * n_u * w_u + n * w_uu,
-            duv=nj.duv * w + n_u * w_v + n_v * w_u + n * w_uv,
-            dvv=nj.dvv * w + 2 * n_v * w_v + n * w_vv,
-        )
+        """Unit normal (n1, n2, 1)/sqrt(n1^2 + n2^2 + 1) and its partials."""
+        return _unit_normal_jet(self.conormal_jet(u, v))
+
+    def lift_jets(self, u, v):
+        """(position_jet, normal_jet) at (u, v) from one field_jets evaluation."""
+        j = self.field_jets(float(u), float(v))
+        return _position_jet(j), _unit_normal_jet(_conormal_jet(j))
 
     def jet(self, p, which) -> Jet2:
         u, v = p
@@ -599,6 +582,39 @@ def _patched(jet, patch, u, v):
     pu, pv = patch.partial_u(), patch.partial_v()
     polys = (patch, pu, pv, pu.partial_u(), pu.partial_v(), pv.partial_v())
     return tuple(float(p(u, v)) for p in polys)
+
+
+def _position_jet(j: FieldJets) -> Jet2:
+    return Jet2(*(np.array(t) for t in zip(j.x1, j.x2, j.phi)))
+
+
+def _conormal_jet(j: FieldJets) -> Jet2:
+    return Jet2(*(np.array(t) for t in zip(j.n1, j.n2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))))
+
+
+def _unit_normal_jet(nj: Jet2) -> Jet2:
+    """Unit normal (n1, n2, 1)/sqrt(delta), delta = n1^2 + n2^2 + 1, from the
+    conormal jet nj by the quotient rule."""
+    n, n_u, n_v = nj.value, nj.du, nj.dv
+    d = float(n @ n)
+    du, dv = 2 * float(n @ n_u), 2 * float(n @ n_v)
+    duu = 2 * float(n_u @ n_u + n @ nj.duu)
+    duv = 2 * float(n_u @ n_v + n @ nj.duv)
+    dvv = 2 * float(n_v @ n_v + n @ nj.dvv)
+    w = d ** -0.5
+    w_u = -0.5 * du * d**-1.5
+    w_v = -0.5 * dv * d**-1.5
+    w_uu = -0.5 * duu * d**-1.5 + 0.75 * du * du * d**-2.5
+    w_uv = -0.5 * duv * d**-1.5 + 0.75 * du * dv * d**-2.5
+    w_vv = -0.5 * dvv * d**-1.5 + 0.75 * dv * dv * d**-2.5
+    return Jet2(
+        value=n * w,
+        du=n_u * w + n * w_u,
+        dv=n_v * w + n * w_v,
+        duu=nj.duu * w + 2 * n_u * w_u + n * w_uu,
+        duv=nj.duv * w + n_u * w_v + n_v * w_u + n * w_uv,
+        dvv=nj.dvv * w + 2 * n_v * w_v + n * w_vv,
+    )
 
 
 @lru_cache(maxsize=None)

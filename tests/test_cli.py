@@ -140,6 +140,25 @@ def test_exact_coefficient_beyond_float_range_exits_2_without_output(tmp_path, c
     assert not out.exists()
 
 
+_BEYOND_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("mode, payload", [
+    ("cls", {"signature": "indefinite", "poly": [["1", "0"], [_BEYOND_FLOAT, "0"], ["1", "0"]]}),
+    ("cortes", {"signature": "lsc", "poly": [["1", "0"], [_BEYOND_FLOAT, "0"], ["1", "0"]]}),
+    ("blaschke-inverse", {"U1": ["1", _BEYOND_FLOAT], "V1": ["0"], "U2": ["0"], "V2": ["1"]}),
+])
+def test_convert_coefficient_beyond_float_range_exits_2_without_output(
+    tmp_path, capsys, mode, payload
+):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert main(["convert", "--mode", mode, "--in", str(src), "--out", str(out)]) == 2
+    assert "input error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "classify", "verify"])
 def test_curve_beyond_float_limit_exits_2_without_output(tmp_path, capsys, command):
     curve = tmp_path / "curve.json"
@@ -435,3 +454,21 @@ def test_console_script_installed(curve_files, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_classify_and_verify_import_no_scipy(tmp_path):
+    curve = tmp_path / "curve.json"
+    save_curve(ParaCurve(ParaPoly.monomial(2), ParaPoly.monomial(3)), str(curve))
+    commands = [
+        ["classify", "--curve", str(curve), "--res", "64", "--out", str(tmp_path / "c.json")],
+        ["verify", "--curve", str(curve), "--out", str(tmp_path / "v.json")],
+    ]
+    code = (
+        "import sys, affsphere, affsphere.cli\n"
+        f"print([affsphere.cli.main(argv) for argv in {commands!r}])\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {"PYTHONPATH": str(REPO_ROOT / "src"), "PATH": ""}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert out.stdout.split("\n")[:2] == ["[0, 0]", "[]"]
