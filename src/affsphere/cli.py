@@ -243,38 +243,33 @@ def cmd_verify(args) -> int:
     return 0 if all(rep.passed for rep in reports) else 1
 
 
-def _converted(convert, *polys):
-    """convert(*polys), with an exact coefficient beyond float range as an input error.
-
-    The conversion is exact, but the curve it builds takes its coefficient
-    scale in floats.
-    """
-    try:
-        return convert(*polys)
-    except OverflowError as exc:
-        raise io.CurveParseError(f"coefficient beyond float range: {exc}") from exc
-
-
 def cmd_convert(args) -> int:
     mode = args.mode
-    if mode == "cls":
-        sig, poly = io.load_generator(args.in_file)
-        if sig != "indefinite":
-            raise io.CurveParseError("cls conversion needs an indefinite generator")
-        io.save_curve(_converted(conversions.cls_to_curve, poly), args.out)
-    elif mode == "cortes":
-        sig, poly = io.load_generator(args.in_file)
-        if sig != "lsc":
-            raise io.CurveParseError("cortes conversion needs an lsc generator")
-        io.save_curve(_converted(conversions.cortes_to_holo, poly), args.out)
-    elif mode == "blaschke":
-        curve = io.load_curve(args.in_file)
-        if curve.signature != "indefinite":
-            raise io.CurveParseError("blaschke conversion needs an indefinite curve")
-        io.save_waves(*conversions.curve_to_blaschke(curve), args.out)
-    else:
-        waves = io.load_waves(args.in_file)
-        io.save_curve(_converted(conversions.blaschke_to_curve, *waves), args.out)
+    try:
+        if mode == "cls":
+            sig, poly = io.load_generator(args.in_file)
+            if sig != "indefinite":
+                raise io.CurveParseError("cls conversion needs an indefinite generator")
+            io.save_curve(conversions.cls_to_curve(poly), args.out)
+        elif mode == "cortes":
+            sig, poly = io.load_generator(args.in_file)
+            if sig != "lsc":
+                raise io.CurveParseError("cortes conversion needs an lsc generator")
+            io.save_curve(conversions.cortes_to_holo(poly), args.out)
+        elif mode == "blaschke":
+            curve = io.load_curve(args.in_file)
+            if curve.signature != "indefinite":
+                raise io.CurveParseError("blaschke conversion needs an indefinite curve")
+            io.save_waves(*conversions.curve_to_blaschke(curve), args.out)
+        else:
+            waves = io.load_waves(args.in_file)
+            io.save_curve(conversions.blaschke_to_curve(*waves), args.out)
+    except io.CurveParseError:
+        raise
+    except ValueError as exc:
+        # the converted curve breaks a curve limit, e.g. an exact coefficient
+        # beyond float range; it is built before its file is opened
+        raise io.CurveParseError(f"cannot build the converted curve: {exc}") from exc
     sys.stderr.write(f"wrote {args.out}\n")
     return 0
 

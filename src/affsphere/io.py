@@ -89,8 +89,7 @@ def curve_from_json(obj) -> ParaCurve:
         return curve_cls(f, g)
     except CurveParseError:
         raise
-    except (ValueError, TypeError, OverflowError) as exc:
-        # OverflowError: an exact coefficient beyond float range
+    except (ValueError, TypeError) as exc:
         raise CurveParseError(str(exc)) from exc
 
 

@@ -231,7 +231,10 @@ class SingularCurve:
         return len(self.points)
 
 
-def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter=100):
+_BRENT_MAXITER = 100
+
+
+def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon):
     """Root of f in [a, b] by Brent's method, from nonzero f(a) = fa and f(b) = fb
     of opposite signs.
 
@@ -239,7 +242,7 @@ def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter
     interpolate / extrapolate / bisect choices, the same stopping test on
     delta = (xtol + rtol |xcur|) / 2 and the same defaults, so it returns the
     same float.  Raises ValueError on a NaN value of f and RuntimeError when
-    maxiter iterations do not converge.
+    _BRENT_MAXITER iterations do not converge.
     """
 
     def checked(x, fx):
@@ -250,7 +253,7 @@ def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter
     xpre, xcur = float(a), float(b)
     fpre, fcur = checked(xpre, float(fa)), checked(xcur, float(fb))
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -279,7 +282,7 @@ def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon, maxiter
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = checked(xcur, float(f(xcur)))
-    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def _bracket_root(f, a, b, fa, fb, **tol):

@@ -122,9 +122,12 @@ class ParaCurve:
         _check_degree(G, "G")
         self.F = F
         self.G = G
-        self.coeff_scale = max(
-            [1.0] + [abs(float(x)) for p in (F, G) for c in p.coeffs for x in (c.re, c.im)]
-        )
+        try:
+            self.coeff_scale = max(
+                [1.0] + [abs(float(x)) for p in (F, G) for c in p.coeffs for x in (c.re, c.im)]
+            )
+        except OverflowError as exc:
+            raise ValueError(f"exact coefficient beyond float range: {exc}") from exc
         self._hash = hash((type(self).__name__, F, G))
 
     @property
