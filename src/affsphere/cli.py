@@ -159,7 +159,9 @@ def cmd_synth(args) -> int:
 def cmd_classify(args) -> int:
     curve = io.load_curve(args.curve)
     domain = Domain.parse(args.domain)
-    nu, _ = _parse_res(args.res)
+    nu, nv = _parse_res(args.res)
+    if nu != nv:
+        raise InvalidDomain(f"classification grid must be square, got {nu}x{nv}")
     if nu < 16 or nu > 4096:
         raise InvalidDomain(f"classification resolution {nu} outside [16, 4096]")
     _compile(curve, domain)

@@ -15,6 +15,7 @@ from .paracomplex import (
     DAlembertPair,
     ParaPoly,
     Poly1,
+    is_exact,
     para_to_dalembert,
 )
 from .surfaces import HoloCurve, ParaCurve
@@ -74,14 +75,8 @@ def curve_to_blaschke(curve: ParaCurve):
 
 def blaschke_to_curve(u1: Poly1, v1: Poly1, u2: Poly1, v2: Poly1) -> ParaCurve:
     """Exact inverse of curve_to_blaschke."""
-    half = (
-        Fraction(1, 2)
-        if all(
-            all(isinstance(c, (int, Fraction)) and not isinstance(c, bool) for c in p.coeffs)
-            for p in (u1, v1, u2, v2)
-        )
-        else 0.5
-    )
+    exact = all(is_exact(c) for p in (u1, v1, u2, v2) for c in p.coeffs)
+    half = Fraction(1, 2) if exact else 0.5
     rho1 = (u1 - u2) * half
     rho2 = (u1 + u2) * half
     sigma1 = (v1 + v2) * half

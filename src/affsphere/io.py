@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .paracomplex import ComplexPoly, ParaPoly, scalar_from_text, scalar_to_text
+from .paracomplex import ComplexPoly, ParaPoly, Poly1, scalar_from_text, scalar_to_text
 from .surfaces import MAX_CURVE_DEGREE, HoloCurve, ParaCurve, SurfaceGrid
 
 # signature -> (polynomial class, curve class)
@@ -125,8 +125,6 @@ def _coeff_list(poly1):
 
 
 def _poly1_from_list(items, name):
-    from .paracomplex import Poly1
-
     if not isinstance(items, list):
         raise CurveParseError(f"{name} must be an array of coefficients")
     out = []

@@ -7,6 +7,9 @@ of the affine metric, the Monge-Ampere equation det Hess = c on graph
 patches, and the contact-form checks (theta, omega) of the graph lift.
 Identities hold for every curve pair, so corrupted-field fixtures provide the
 negative controls.
+
+A point set is any iterable of (u, v) pairs or an (n, 2) array; each suite
+evaluates it with one ``Surface.field_jets`` call and array expressions.
 """
 
 from __future__ import annotations
@@ -48,15 +51,24 @@ def _surface(curve_or_surface) -> Surface:
     return compile_surface(curve_or_surface)
 
 
+def _uv(points):
+    """(u, v) float arrays of an iterable of (u, v) pairs or an (n, 2) array."""
+    pts = np.asarray(list(points) or np.empty((0, 2)), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected (u, v) pairs, got an array of shape {pts.shape}")
+    return pts[:, 0], pts[:, 1]
+
+
 def _report(name, residuals, tolerance) -> ResidualReport:
-    arr = np.asarray(list(residuals), dtype=float)
+    """Summary of an array of residuals of any shape; an empty one passes."""
+    arr = np.abs(np.ravel(residuals))
     if arr.size == 0:
         return ResidualReport(name, 0.0, 0.0, 0, True, tolerance)
-    max_abs = float(np.max(np.abs(arr)))
+    max_abs = float(np.max(arr))
     return ResidualReport(
         name=name,
         max_abs=max_abs,
-        mean_abs=float(np.mean(np.abs(arr))),
+        mean_abs=float(np.mean(arr)),
         points_checked=int(arr.size),
         passed=bool(max_abs <= tolerance),
         tolerance=tolerance,
@@ -64,7 +76,8 @@ def _report(name, residuals, tolerance) -> ResidualReport:
 
 
 def _rel(value, *scales):
-    return float(value) / max(1.0, *(float(s) for s in scales))
+    """|value| / max(1, |scales|), elementwise."""
+    return np.abs(value) / np.maximum(1.0, np.max(np.abs(scales), axis=0))
 
 
 # -- duality ------------------------------------------------------------------
@@ -80,22 +93,19 @@ def duality_residual(curve, points) -> ResidualReport:
     surf = _surface(curve)
     xi = np.array([0.0, 0.0, 1.0])
     sign = surf.curve.unit_sq
-    res = []
-    for u, v in points:
-        u, v = float(u), float(v)
-        pj = surf.position_jet(u, v)
-        cj = surf.conormal_jet(u, v)
-        checks = (
-            (pj.du, np.cross(cj.value, cj.dv)),
-            (pj.dv, sign * np.cross(cj.value, cj.du)),
-            (cj.du, sign * np.cross(pj.dv, xi)),
-            (cj.dv, np.cross(pj.du, xi)),
-        )
-        for got, want in checks:
-            res.append(
-                _rel(np.linalg.norm(got - want), np.linalg.norm(got), np.linalg.norm(want))
-            )
-    return _report("duality", res, 1e-8)
+    j = surf.field_jets(*_uv(points))
+    # (jet index, point, component) stacks of the position and the conormal
+    psi = np.stack([j.x1, j.x2, j.phi], axis=-1)
+    nu = np.stack([j.n1, j.n2, np.zeros_like(j.n1)], axis=-1)
+    nu[0, :, 2] = 1.0
+    checks = (
+        (psi[1], np.cross(nu[0], nu[2])),
+        (psi[2], sign * np.cross(nu[0], nu[1])),
+        (nu[1], sign * np.cross(psi[2], xi)),
+        (nu[2], np.cross(psi[1], xi)),
+    )
+    res = [_rel(*np.linalg.norm([got - want, got, want], axis=2)) for got, want in checks]
+    return _report("duality", np.stack(res, axis=1), 1e-8)
 
 
 # -- 2-form annihilation ---------------------------------------------------------
@@ -110,22 +120,15 @@ def two_form_residual(curve, points) -> ResidualReport:
     """
     surf = _surface(curve)
     sign = surf.curve.unit_sq
-    res = []
-    for u, v in points:
-        j = surf.field_jets(float(u), float(v))
-        (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
-        (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
-        det_x = x1u * x2v - x1v * x2u
-        det_n = n1u * n2v - n1v * n2u
-        form1 = det_x + sign * det_n
-        form2 = (x1u * n1v - x1v * n1u) + (x2u * n2v - x2v * n2u)
-        scale1 = max(abs(det_x), abs(det_n))
-        scale2 = max(
-            abs(x1u * n1v), abs(x1v * n1u), abs(x2u * n2v), abs(x2v * n2u)
-        )
-        res.append(_rel(abs(form1), scale1))
-        res.append(_rel(abs(form2), scale2))
-    return _report("two_form", res, 1e-8)
+    j = surf.field_jets(*_uv(points))
+    (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
+    (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
+    det_x = x1u * x2v - x1v * x2u
+    det_n = n1u * n2v - n1v * n2u
+    form1 = det_x + sign * det_n
+    form2 = (x1u * n1v - x1v * n1u) + (x2u * n2v - x2v * n2u)
+    res = (_rel(form1, det_x, det_n), _rel(form2, x1u * n1v, x1v * n1u, x2u * n2v, x2v * n2u))
+    return _report("two_form", np.stack(res, axis=1), 1e-8)
 
 
 # -- metric conformality -----------------------------------------------------------
@@ -136,18 +139,14 @@ def metric_conformality(curve, points) -> ResidualReport:
     coordinates: g_uv = 0 and g_uu + g_vv = 0, resp. g_uu - g_vv = 0."""
     surf = _surface(curve)
     sign = surf.curve.unit_sq
-    res = []
-    for u, v in points:
-        j = surf.field_jets(float(u), float(v))
-        (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
-        (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
-        g_uu = -(x1u * n1u + x2u * n2u)
-        g_vv = -(x1v * n1v + x2v * n2v)
-        g_uv = -0.5 * ((x1u * n1v + x2u * n2v) + (x1v * n1u + x2v * n2u))
-        scale = max(abs(g_uu), abs(g_vv))
-        res.append(_rel(abs(g_uv), scale))
-        res.append(_rel(abs(g_uu + sign * g_vv), scale))
-    return _report("conformal", res, 1e-8)
+    j = surf.field_jets(*_uv(points))
+    (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
+    (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
+    g_uu = -(x1u * n1u + x2u * n2u)
+    g_vv = -(x1v * n1v + x2v * n2v)
+    g_uv = -0.5 * ((x1u * n1v + x2u * n2v) + (x1v * n1u + x2v * n2u))
+    res = (_rel(g_uv, g_uu, g_vv), _rel(g_uu + sign * g_vv, g_uu, g_vv))
+    return _report("conformal", np.stack(res, axis=1), 1e-8)
 
 
 # -- graph patches ------------------------------------------------------------------
@@ -172,19 +171,33 @@ def regular_graph_patch(curve, domain: Domain | None = None, res=16):
     return pts
 
 
-def _chart_solve(surf, u, v, jets=None):
-    """Jacobian, its determinant, and the graph gradient (p, q) at one point.
+def _cramer(jac, det, a, b):
+    """(p, q) solving J^T (p, q) = (a, b) by Cramer's rule, for floats or arrays."""
+    (x1u, x1v), (x2u, x2v) = jac
+    return (a * x2v - x2u * b) / det, (x1u * b - x1v * a) / det
 
-    jets: surf.field_jets(u, v) when the caller already has them.
+
+def _chart_solve(surf, u, v, jets=None):
+    """Jacobian, its determinant, and the graph gradient (p, q), which solves
+    J^T (p, q) = (phi_u, phi_v), at a float point or at arrays of points.
+
+    jets: surf.field_jets(u, v) when the caller already has them.  Raises
+    PatchNotGraph naming the first point where |det J| <= 1e-6.
     """
-    j = jets or surf.field_jets(float(u), float(v))
+    j = jets or surf.field_jets(u, v)
     (_, x1u, x1v, *_), (_, x2u, x2v, *_), (_, phiu, phiv, *_) = j.x1, j.x2, j.phi
     jac = np.array([[x1u, x1v], [x2u, x2v]])
-    det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
-    if abs(det) <= 1e-6:
-        raise PatchNotGraph(f"chart Jacobian degenerate at ({u}, {v})")
-    pq = np.linalg.solve(jac.T, np.array([phiu, phiv]))
-    return jac, det, pq
+    det = x1u * x2v - x1v * x2u
+    bad = np.flatnonzero(np.abs(det) <= 1e-6)
+    if bad.size:
+        u0, v0 = np.ravel(u)[bad[0]], np.ravel(v)[bad[0]]
+        raise PatchNotGraph(f"chart Jacobian degenerate at ({u0}, {v0})")
+    return jac, det, _cramer(jac, det, phiu, phiv)
+
+
+def _graph_hessian(j, p, q):
+    """uu, uv and vv partials of phi - p x1 - q x2 with (p, q) held fixed."""
+    return tuple(f - a * p - b * q for f, a, b in zip(j.phi[3:], j.x1[3:], j.x2[3:]))
 
 
 def monge_ampere_residual(curve, graph_patch) -> ResidualReport:
@@ -195,21 +208,11 @@ def monge_ampere_residual(curve, graph_patch) -> ResidualReport:
     """
     surf = _surface(curve)
     c = -surf.curve.unit_sq
-    res = []
-    for u, v in np.asarray(graph_patch, float).tolist():
-        j = surf.field_jets(u, v)
-        jac, det, (p, q) = _chart_solve(surf, u, v, j)
-        _, _, _, x1uu, x1uv, x1vv = j.x1
-        _, _, _, x2uu, x2uv, x2vv = j.x2
-        _, _, _, phiuu, phiuv, phivv = j.phi
-        m = (
-            np.array([[phiuu, phiuv], [phiuv, phivv]])
-            - p * np.array([[x1uu, x1uv], [x1uv, x1vv]])
-            - q * np.array([[x2uu, x2uv], [x2uv, x2vv]])
-        )
-        det_hess = float(np.linalg.det(m)) / det**2
-        res.append(abs(det_hess - c))
-    return _report("monge_ampere", res, 1e-5)
+    u, v = _uv(graph_patch)
+    j = surf.field_jets(u, v)
+    _, det, (p, q) = _chart_solve(surf, u, v, j)
+    h_uu, h_uv, h_vv = _graph_hessian(j, p, q)
+    return _report("monge_ampere", (h_uu * h_vv - h_uv * h_uv) / det**2 - c, 1e-5)
 
 
 def lift_residual(curve, graph_patch, flip_q=False) -> ResidualReport:
@@ -221,31 +224,20 @@ def lift_residual(curve, graph_patch, flip_q=False) -> ResidualReport:
     """
     surf = _surface(curve)
     c = -surf.curve.unit_sq
-    res = []
-    for u, v in np.asarray(graph_patch, float).tolist():
-        j = surf.field_jets(u, v)
-        jac, det, (p, q) = _chart_solve(surf, u, v, j)
-        _, x1u, x1v, x1uu, x1uv, x1vv = j.x1
-        _, x2u, x2v, x2uu, x2uv, x2vv = j.x2
-        _, phiu, phiv, phiuu, phiuv, phivv = j.phi
-        rhs_u = np.array(
-            [phiuu - x1uu * p - x2uu * q, phiuv - x1uv * p - x2uv * q]
-        )
-        rhs_v = np.array(
-            [phiuv - x1uv * p - x2uv * q, phivv - x1vv * p - x2vv * q]
-        )
-        pu, qu = np.linalg.solve(jac.T, rhs_u)
-        pv, qv = np.linalg.solve(jac.T, rhs_v)
-        if flip_q:
-            q, qu, qv = -q, -qu, -qv
-        theta_u = phiu - p * x1u - q * x2u
-        theta_v = phiv - p * x1v - q * x2v
-        omega = c * det - (pu * qv - pv * qu)
-        grad_scale = max(abs(phiu), abs(phiv))
-        res.append(_rel(abs(theta_u), grad_scale))
-        res.append(_rel(abs(theta_v), grad_scale))
-        res.append(_rel(abs(omega), abs(det)))
-    return _report("lift", res, 1e-5)
+    u, v = _uv(graph_patch)
+    j = surf.field_jets(u, v)
+    jac, det, (p, q) = _chart_solve(surf, u, v, j)
+    h_uu, h_uv, h_vv = _graph_hessian(j, p, q)
+    pu, qu = _cramer(jac, det, h_uu, h_uv)
+    pv, qv = _cramer(jac, det, h_uv, h_vv)
+    if flip_q:
+        q, qu, qv = -q, -qu, -qv
+    (_, x1u, x1v, *_), (_, x2u, x2v, *_), (_, phiu, phiv, *_) = j.x1, j.x2, j.phi
+    theta_u = phiu - p * x1u - q * x2u
+    theta_v = phiv - p * x1v - q * x2v
+    omega = c * det - (pu * qv - pv * qu)
+    res = (_rel(theta_u, phiu, phiv), _rel(theta_v, phiu, phiv), _rel(omega, det))
+    return _report("lift", np.stack(res, axis=1), 1e-5)
 
 
 # -- cuspidal cross cap suite -------------------------------------------------------

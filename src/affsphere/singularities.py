@@ -39,6 +39,8 @@ ALL_TAGS = (
     TAG_REGULAR, TAG_BRANCH, TAG_FRONTAL_NOT_FRONT, TAG_CUSPIDAL_EDGE,
     TAG_SWALLOWTAIL, TAG_FRONT_UNCLASSIFIED, TAG_DEGENERATE_OTHER,
 )
+_DET_TOL = 1e-6  # floor of |det(gamma', eta)| in the front criteria
+_NULL_TOL = 1e-7  # relative kernel residual above which null_vector uses the SVD
 
 
 class NotSingular(ValueError):
@@ -61,8 +63,6 @@ class Tolerances:
     deg: float
     branch: float
     ff: float
-    det: float = 1e-6
-    null: float = 1e-7
 
 
 def tolerances_for(curve, radius=1.0) -> Tolerances:
@@ -174,7 +174,7 @@ def null_vector(curve, p):
     if norm <= tols.branch:
         raise BranchPointError("differential vanishes; no null direction")
     scale = max(np.linalg.norm(m), 1e-300)
-    if np.linalg.norm(m @ eta) > 10 * tols.null * scale:
+    if np.linalg.norm(m @ eta) > 10 * _NULL_TOL * scale:
         _, _, vt = np.linalg.svd(m)
         eta = vt[-1]
     return eta
@@ -780,11 +780,11 @@ def classify_point(curve, p, traced=None) -> SingularClass:
     det0 = float(dets[2])
     ddet = float(_stencil_derivative(dets, h))
 
-    if rank == 2 and abs(det0) > tols.det:
+    if rank == 2 and abs(det0) > _DET_TOL:
         return verdict(
             TAG_CUSPIDAL_EDGE, det_ge=det0, ddet_ge=ddet, lift_rank=rank
         )
-    if rank == 2 and abs(det0) <= tols.det and abs(ddet) > tols.det:
+    if rank == 2 and abs(det0) <= _DET_TOL and abs(ddet) > _DET_TOL:
         return verdict(
             TAG_SWALLOWTAIL, det_ge=det0, ddet_ge=ddet, lift_rank=rank
         )

@@ -170,7 +170,7 @@ class Jet2:
 
 
 class FieldJets(NamedTuple):
-    """(value, du, dv, duu, duv, dvv) of each scalar field at one point, as floats."""
+    """(value, du, dv, duu, duv, dvv) of each scalar field: floats, or arrays over points."""
 
     x1: tuple
     x2: tuple
@@ -220,7 +220,8 @@ class Surface:
     The float kernel holds the coefficient vectors of F, G, F', G', F'', G''
     and K = Int (G dF - F dG).  Points (``field_jets``, ``density_jet``,
     ``chart_derivatives`` and the Jet2 views) use planar Horner on Python
-    floats; grids use dense coefficient tables.  The exact bivariate fields
+    floats, and ``field_jets`` runs the same operations on arrays of points;
+    grids use dense coefficient tables.  The exact bivariate fields
     x1, x2, phi, n1, n2, density (``fields``) and the component derivatives
     f1u, f2u, g1u, g2u (``extras``) are BiPolys built on first access, exact
     whenever the curve is exact.
@@ -342,7 +343,8 @@ class Surface:
         return (*self._parts(1, u, v), *self._parts(4, u, v))
 
     def field_jets(self, u, v) -> FieldJets:
-        """Jets of x1, x2, phi, n1, n2 at a float point, patches applied."""
+        """Jets of x1, x2, phi, n1, n2 at a float point, or at equal-length float
+        arrays bit for bit as point by point, patches applied."""
         s = self.unit_sq
         F, dF, d2F, G, dG, d2G, K, dK, d2K = (self._eval(k, u, v) for k in range(9))
         f = _planar_partials(*(_re_im(w, s) for w in (F, dF, d2F)), s)
@@ -584,7 +586,7 @@ def _patched(jet, patch, u, v):
         return tuple(patch * x for x in jet)
     pu, pv = patch.partial_u(), patch.partial_v()
     polys = (patch, pu, pv, pu.partial_u(), pu.partial_v(), pv.partial_v())
-    return tuple(float(p(u, v)) for p in polys)
+    return tuple(p(u, v) for p in polys)
 
 
 def _position_jet(j: FieldJets) -> Jet2:

@@ -472,3 +472,11 @@ def test_classify_and_verify_import_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          check=True)
     assert out.stdout.split("\n")[:2] == ["[0, 0]", "[]"]
+
+
+@pytest.mark.parametrize("res", ["16,4096", "32,16", "64,65"])
+def test_classify_non_square_resolution_exits_3(curve_files, tmp_path, res):
+    out = tmp_path / "report.json"
+    argv = ["classify", "--curve", curve_files["quad_cubic"], "--res", res, "--out", str(out)]
+    assert main(argv) == 3
+    assert not out.exists()

@@ -15,8 +15,10 @@ def test_demo_scripts_exist():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(script):
+    # pytest's filterwarnings setting does not reach the subprocess
     proc = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
