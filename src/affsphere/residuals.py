@@ -255,27 +255,28 @@ def ccr_residual(curve, domain: Domain | None = None):
 
     surf = _surface(curve)
     domain = domain or Domain()
-    res = []
     lines = [] if surf.density_is_zero else sg._null_line_curves(
         curve, surf, domain, 48, sg.tolerances_for(curve, domain.radius)
     )
+    samples = []
     for sc in lines:
         step = max(1, len(sc.points) // 5)
-        for q in sc.points[step::step]:
-            tols = sg._point_tols(curve, q)
-            if sg._fnf_kind(surf, q[0], q[1], tols) is None:
-                continue
-            try:
-                psi0, dpsi0 = sg.ccr_psi(curve, q)
-            except (sg.TraceRequired, sg.NotSingular, sg.BranchPointError):
-                continue
-            pj, nj = surf.lift_jets(q[0], q[1])
-            scale = max(
-                1.0,
-                np.linalg.norm(np.column_stack([pj.du, pj.dv]))
-                * np.linalg.norm(np.column_stack([nj.du, nj.dv])),
-            )
-            res.append(abs(dpsi0) / scale)
+        samples.extend(sc.points[step::step])
+    res = np.zeros(0)
+    if samples:  # one psi window per frontal-not-front sample, all in one array pass
+        p = sg._rows(samples)
+        tols = sg._point_tols(curve, p)
+        lam, _, _ = surf.density_jet(p[:, 0], p[:, 1])
+        kinds = sg._fnf_kind(surf, p[:, 0], p[:, 1], tols)
+        fnf = np.array([k is not None for k in kinds], dtype=bool)
+        rows = np.flatnonzero(fnf & ~(np.abs(lam) > tols.sing))
+        _, dpsi0, ok = sg._psi_windows(surf, p[rows], tols.rows(rows), kinds[rows])
+        rows, dpsi0 = rows[ok], dpsi0[ok]
+        x_u, x_v, _, n_u, n_v = sg._lift_frames(surf, p[rows, 0], p[rows, 1])
+        # Frobenius norms of the 3x2 Jacobians, summed in np.linalg.norm's order
+        jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x_u, x_v), (n_u, n_v)))
+        scale = np.maximum(1.0, np.sqrt(sg._dot(jac_x, jac_x)) * np.sqrt(sg._dot(jac_n, jac_n)))
+        res = np.abs(dpsi0) / scale
     main = _report("ccr", res, 1e-6)
     _, dpsi_control = sg.ccr_psi_control()
     ratio = 1e-3 / max(abs(dpsi_control), 1e-300)
@@ -291,17 +292,22 @@ def ccr_residual(curve, domain: Domain | None = None):
 
 
 def random_regular_points(curve, n, rng, domain: Domain | None = None):
-    """n points of the domain where the surface is comfortably regular."""
+    """n points of the domain where the surface is comfortably regular.
+
+    Candidates are drawn in blocks no larger than the number of points still
+    needed, so the points and the generator state afterwards are those of
+    drawing and testing one candidate (u, then v) at a time.
+    """
     surf = _surface(curve)
     domain = domain or Domain()
     out = []
     tries = 0
     while len(out) < n and tries < 200 * n:
-        tries += 1
-        u = rng.uniform(domain.u0, domain.u1)
-        v = rng.uniform(domain.v0, domain.v1)
-        if abs(float(surf.area_density(u, v))) > 1e-3:
-            out.append((u, v))
+        k = min(n - len(out), 200 * n - tries)
+        tries += k
+        uv = rng.uniform([domain.u0, domain.v0], [domain.u1, domain.v1], size=(k, 2))
+        keep = np.abs(surf._density(uv[:, 0], uv[:, 1])) > 1e-3
+        out.extend(map(tuple, uv[keep].tolist()))
     if len(out) < n:
         raise PatchNotGraph("could not find enough regular points")
     return out

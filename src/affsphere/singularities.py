@@ -8,12 +8,25 @@ singular point the kernel direction of the differential, the rank of the
 lifted map, two algebraic frontal conditions, and the determinant criterion
 det(gamma', eta) with its arc-length derivative decide the class label.
 
-Each primitive has one implementation that every stage shares: the level-set
-tangent rot(grad lam) (`_level_tangent`) with its sign alignment (`_aligned`),
-the null direction of one chart matrix (`_null_candidates`,
-`_null_direction`), the five-point window either marched along {lam = 0} or
-stepped along an exact null line (`_window`), and the bracketed root
-(`_bracket_root`) behind both edge crossings and swallowtail search.
+Classification runs on arrays of points.  `_classify_points` takes each
+stage once, on all rows that reach it: lift ranks from one stack of SVDs; the
+branch, frontal-not-front and degenerate masks; five-point windows marched
+by a masked Newton projection; the null fields along them; det(gamma', eta)
+and its stencil derivative; and the psi test on exact null lines.  A report
+thus costs a fixed number of kernel calls, not a number per traced node.
+`classify_point`, `ccr_psi` and `lift_rank` are one-row calls.
+
+Each primitive has one implementation that every stage shares, acting on
+the last axis of arrays (one point is a (2,) row) with the same IEEE
+operations per row as for a single point, so a row of a batch equals its
+one-row result bit for bit: the level-set tangent rot(grad lam)
+(`_level_tangent`) with its sign alignment (`_aligned`), the null direction
+of the chart matrix (`_null_candidates`, `_null_direction`), the five-point
+windows marched along {lam = 0} or stepped along an exact null line
+(`_windows`), and the bracketed root (`_bracket_root`) behind both edge
+crossings and swallowtail search.  The single-point Newton projection
+(`_newton_project`) stays scalar for the Brent steps of the swallowtail
+search and the CLI's probe snap, where one row costs less as floats.
 """
 
 from __future__ import annotations
@@ -57,23 +70,33 @@ class TraceRequired(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Scale-aware thresholds; S = coefficient scale x domain radius."""
+    """Scale-aware thresholds; S = coefficient scale x domain radius.
+
+    Fields are numbers, or arrays with one entry per row of points.
+    """
 
     sing: float
     deg: float
     branch: float
     ff: float
 
+    def rows(self, idx):
+        """Tolerances of the selected rows, when the fields are arrays over rows."""
+        return Tolerances(self.sing[idx], self.deg[idx], self.branch[idx], self.ff[idx])
+
 
 def tolerances_for(curve, radius=1.0) -> Tolerances:
-    s = curve.coeff_scale * max(1.0, float(radius))
+    """Thresholds for a radius, or for an array of radii, one row each."""
+    s = curve.coeff_scale * np.maximum(1.0, radius)
     return Tolerances(
         sing=1e-9 * s * s, deg=1e-7 * s, branch=1e-9 * s, ff=1e-9 * s
     )
 
 
 def _point_tols(curve, p) -> Tolerances:
-    return tolerances_for(curve, max(1.0, abs(float(p[0])), abs(float(p[1]))))
+    """Thresholds at a point (u, v), or at each row of an (n, 2) array."""
+    p = np.asarray(p, dtype=float)
+    return tolerances_for(curve, np.maximum(np.abs(p[..., 0]), np.abs(p[..., 1])))
 
 
 # -- density --------------------------------------------------------------
@@ -89,23 +112,44 @@ def grad_density(curve, p):
     return compile_surface(curve).grad_density(p[0], p[1])
 
 
-# -- small vector helpers --------------------------------------------------
+# -- row helpers ---------------------------------------------------------------
+#
+# Vectors are the last axis of an array: one point is a (2,) row, n points an
+# (n, 2) array, n five-point windows an (n, 5, 2) array.  Every helper runs the
+# same IEEE operations on each row as on a single point.
+
+
+def _rows(pts):
+    """(n, 2) float array of a sequence of (u, v) pairs or an (n, 2) array."""
+    return np.asarray(pts, dtype=float).reshape(-1, 2)
+
+
+def _dot(a, b):
+    """Row-wise dot products over the last axis.
+
+    matmul of (1, k) by (k, 1) runs the BLAS dot that a 1-D `a @ b` runs, so
+    each row equals the dot of that row alone bit for bit; an elementwise sum
+    of products does not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _unit(vec):
-    n = float(np.hypot(vec[0], vec[1]))
-    if n == 0.0:
-        return np.array([0.0, 0.0]), 0.0
-    return np.asarray(vec, float) / n, n
+    """(unit rows, lengths) of the rows of vec; a zero row stays zero."""
+    n = np.hypot(vec[..., 0], vec[..., 1])
+    zero = (n == 0.0)[..., None]
+    return np.where(zero, 0.0, vec / np.where(zero, 1.0, n[..., None])), n
 
 
 def _det2(a, b):
-    return float(a[0] * b[1] - a[1] * b[0])
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _aligned(vec, ref):
-    """vec, negated when it points against ref; unchanged when ref is None."""
-    return -vec if ref is not None and vec @ ref < 0 else vec
+    """vec, each row negated where it points against ref; unchanged when ref is None."""
+    if ref is None:
+        return vec
+    return np.where((_dot(vec, ref) < 0)[..., None], -vec, vec)
 
 
 def _density_floats(surf, u, v):
@@ -113,9 +157,9 @@ def _density_floats(surf, u, v):
 
 
 def _level_tangent(surf, q):
-    """(unit rot(grad lam), |grad lam|) at q: the tangent of the level set of lam."""
-    _, gu, gv = _density_floats(surf, q[0], q[1])
-    return _unit(np.array([-gv, gu]))
+    """(unit rot(grad lam), |grad lam|) at the rows of q: tangents of the level sets of lam."""
+    _, gu, gv = surf.density_jet(q[..., 0], q[..., 1])
+    return _unit(np.stack([-gv, gu], axis=-1))
 
 
 def _newton_project(surf, p, tol, max_travel=None):
@@ -136,25 +180,59 @@ def _newton_project(surf, p, tol, max_travel=None):
     return q if abs(val) <= 100 * tol else None
 
 
+def _newton_project_rows(surf, q, tol, max_travel):
+    """`_newton_project` of every row of q with per-row tol and max_travel.
+
+    Returns (projected rows, ok).  A row freezes where the scalar iteration
+    returns, and is never evaluated after it fails, so each converged row is
+    the scalar result bit for bit.
+    """
+    start = q
+    q = q.copy()
+    ok = np.zeros(len(q), dtype=bool)
+    active = np.arange(len(q))
+    for _ in range(60):
+        if not active.size:
+            return q, ok
+        val, gu, gv = surf.density_jet(q[active, 0], q[active, 1])
+        done = np.abs(val) <= tol[active]
+        ok[active[done]] = True
+        g2 = gu * gu + gv * gv
+        moving = ~done & (g2 != 0.0)
+        active, val, gu, gv, g2 = (x[moving] for x in (active, val, gu, gv, g2))
+        q[active, 0] -= val * gu / g2
+        q[active, 1] -= val * gv / g2
+        near = ~(np.hypot(*(q[active] - start[active]).T) > max_travel[active])
+        active = active[near]
+    if active.size:
+        val, _, _ = surf.density_jet(q[active, 0], q[active, 1])
+        ok[active] = np.abs(val) <= 100 * tol[active]
+    return q, ok
+
+
 # -- null directions --------------------------------------------------------
 
 
 def _chart_matrix(surf, u, v):
-    """Differential of (u, v) -> (x1, x2); its determinant is the density."""
-    f1u, f2u, g1u, g2u = surf.chart_derivatives(float(u), float(v))
+    """Differential of (u, v) -> (x1, x2); its determinant is the density.
+
+    2 x 2 at a point; for arrays of points the two leading axes index the matrix.
+    """
+    f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
     s = surf.curve.unit_sq
     return np.array([[f1u - s * g1u, s * f2u - g2u], [s * f2u + g2u, s * f1u + g1u]])
 
 
 def _null_candidates(m):
-    """Kernel candidates: rotated rows of the 2x2 chart differential m."""
-    return np.array([-m[0, 1], m[0, 0]]), np.array([-m[1, 1], m[1, 0]])
+    """Kernel candidates: rotated rows of the chart differential m, as vectors on the last axis."""
+    return np.stack([-m[0, 1], m[0, 0]], axis=-1), np.stack([-m[1, 1], m[1, 0]], axis=-1)
 
 
 def _null_direction(m):
     """(unit vector, length) of the larger rotated-row candidate; callers set the floor."""
     c1, c2 = _null_candidates(m)
-    return _unit(c1 if np.hypot(*c1) >= np.hypot(*c2) else c2)
+    n1, n2 = np.hypot(c1[..., 0], c1[..., 1]), np.hypot(c2[..., 0], c2[..., 1])
+    return _unit(np.where((n1 >= n2)[..., None], c1, c2))
 
 
 def null_vector(curve, p):
@@ -169,7 +247,7 @@ def null_vector(curve, p):
     lam = float(surf.area_density(float(p[0]), float(p[1])))
     if abs(lam) > tols.sing:
         raise NotSingular(f"|lam| = {abs(lam):.3e} exceeds {tols.sing:.3e}")
-    m = _chart_matrix(surf, p[0], p[1])
+    m = _chart_matrix(surf, float(p[0]), float(p[1]))
     eta, norm = _null_direction(m)
     if norm <= tols.branch:
         raise BranchPointError("differential vanishes; no null direction")
@@ -180,17 +258,43 @@ def null_vector(curve, p):
     return eta
 
 
-def lift_rank(curve, p) -> int:
-    """Numeric rank of the 6x2 Jacobian of (position, unit normal)."""
-    pj, nj = compile_surface(curve).lift_jets(p[0], p[1])
-    jac = np.column_stack(
-        [np.concatenate([pj.du, nj.du]), np.concatenate([pj.dv, nj.dv])]
-    )
+def _lift_frames(surf, u, v):
+    """(x_u, x_v, nu, nu_u, nu_v) at the points (u, v), each an (n, 3) array.
+
+    The first partials of the position and of the unit normal, from one
+    field_jets call.  The normal runs surfaces._unit_normal_jet's operations
+    row by row: dots through `_dot`, and powers through float_power, which
+    calls the C pow that Python floats use, so each row equals
+    Surface.position_jet and Surface.normal_jet at that point bit for bit.
+    """
+    j = surf.field_jets(u, v)
+    one, zero = np.ones_like(u), np.zeros_like(u)
+    x_u = np.stack([j.x1[1], j.x2[1], j.phi[1]], axis=-1)
+    x_v = np.stack([j.x1[2], j.x2[2], j.phi[2]], axis=-1)
+    n = np.stack([j.n1[0], j.n2[0], one], axis=-1)
+    n_u = np.stack([j.n1[1], j.n2[1], zero], axis=-1)
+    n_v = np.stack([j.n1[2], j.n2[2], zero], axis=-1)
+    d = _dot(n, n)
+    du, dv = 2 * _dot(n, n_u), 2 * _dot(n, n_v)
+    w = np.float_power(d, -0.5)[:, None]
+    w_u = (-0.5 * du * np.float_power(d, -1.5))[:, None]
+    w_v = (-0.5 * dv * np.float_power(d, -1.5))[:, None]
+    return x_u, x_v, n * w, n_u * w + n * w_u, n_v * w + n * w_v
+
+
+def _lift_ranks(curve, frames):
+    """Numeric ranks of the 6x2 Jacobians of (position, unit normal), one SVD stack."""
+    x_u, x_v, _, n_u, n_v = frames
+    jac = np.stack([np.concatenate(col, axis=1) for col in ((x_u, n_u), (x_v, n_v))], axis=-1)
     sv = np.linalg.svd(jac, compute_uv=False)
     floor = 1e-9 * max(1.0, curve.coeff_scale)
-    if sv[0] <= floor:
-        return 0
-    return 2 if sv[1] > 1e-7 * sv[0] else 1
+    return np.where(sv[:, 0] <= floor, 0, np.where(sv[:, 1] > 1e-7 * sv[:, 0], 2, 1))
+
+
+def lift_rank(curve, p) -> int:
+    """Numeric rank of the 6x2 Jacobian of (position, unit normal)."""
+    u, v = _rows([p]).T
+    return int(_lift_ranks(curve, _lift_frames(compile_surface(curve), u, v))[0])
 
 
 # -- frontal-not-front conditions --------------------------------------------
@@ -201,16 +305,16 @@ def _fnf_kind(surf, u, v, tols):
 
     The names record which combination u-v or u+v is constant along the null
     line the condition defines.  Convex-signature surfaces are always fronts,
-    so the answer there is None.
+    so the answer there is None.  For arrays of points (and tolerances), an
+    object array of these answers, one per point.
     """
+    f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
+    diff = (np.abs(f1u - f2u) <= tols.ff) & (np.abs(g1u - g2u) <= tols.ff)
+    summ = (np.abs(f1u + f2u) <= tols.ff) & (np.abs(g1u + g2u) <= tols.ff)
     if surf.signature != "indefinite":
-        return None
-    f1u, f2u, g1u, g2u = surf.chart_derivatives(float(u), float(v))
-    if abs(f1u - f2u) <= tols.ff and abs(g1u - g2u) <= tols.ff:
-        return "difference"
-    if abs(f1u + f2u) <= tols.ff and abs(g1u + g2u) <= tols.ff:
-        return "sum"
-    return None
+        diff = summ = np.zeros_like(diff)
+    kinds = np.where(diff, "difference", np.where(summ, "sum", None))
+    return kinds if kinds.ndim else kinds.item()
 
 
 # -- singular-curve tracing ---------------------------------------------------
@@ -302,13 +406,16 @@ def _bracket_root(f, a, b, fa, fb, **tol):
 def _marching_squares(surf, u_axis, v_axis, lam_grid):
     """Segments of {lam=0} as pairs of edge ids, plus edge crossing points.
 
-    lam_grid must come from surf.density_grid, whose nodes equal the scalar
-    density bit for bit, so every bracket handed to `_brent` changes sign.
+    Cell cases come from the grid signs in one array pass; only the cells
+    that cross zero are visited, in row-major order.  lam_grid must come from
+    surf.density_grid, whose nodes equal the scalar density bit for bit, so
+    every bracket handed to `_brent` changes sign.
     """
     d = surf.area_density
     tol = {"xtol": 1e-14, "rtol": 8.9e-16}
-    nu, nv = lam_grid.shape
-    sgn = np.where(lam_grid >= 0.0, 1, -1)
+    sgn = lam_grid >= 0.0
+    s00, s10, s01, s11 = sgn[:-1, :-1], sgn[1:, :-1], sgn[:-1, 1:], sgn[1:, 1:]
+    case = (s00 != s10) * 1 + (s10 != s11) * 2 + (s01 != s11) * 4 + (s00 != s01) * 8
     crossings = {}
 
     def edge_point(kind, i, j):
@@ -332,35 +439,23 @@ def _marching_squares(surf, u_axis, v_axis, lam_grid):
         return key
 
     segments = []
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            s00, s10 = sgn[i, j], sgn[i + 1, j]
-            s11, s01 = sgn[i + 1, j + 1], sgn[i, j + 1]
-            cell_edges = {}
-            if s00 != s10:
-                cell_edges["bottom"] = ("h", i, j)
-            if s10 != s11:
-                cell_edges["right"] = ("v", i + 1, j)
-            if s01 != s11:
-                cell_edges["top"] = ("h", i, j + 1)
-            if s00 != s01:
-                cell_edges["left"] = ("v", i, j)
-            # a cell crosses zero on 0, 2 or 4 of its edges
-            if len(cell_edges) == 2:
-                pairs = [tuple(cell_edges)]
-            elif cell_edges:
-                # saddle: the center sign says which diagonal pair of corners joins
-                center_sign = 1 if d(
-                    0.5 * (u_axis[i] + u_axis[i + 1]), 0.5 * (v_axis[j] + v_axis[j + 1])
-                ) >= 0 else -1
-                if center_sign == s00:
-                    pairs = [("bottom", "right"), ("top", "left")]
-                else:
-                    pairs = [("bottom", "left"), ("right", "top")]
+    iu, iv = np.nonzero(case)
+    for i, j, c in zip(iu.tolist(), iv.tolist(), case[iu, iv].tolist()):
+        edges = (("bottom", ("h", i, j)), ("right", ("v", i + 1, j)),
+                 ("top", ("h", i, j + 1)), ("left", ("v", i, j)))
+        cell_edges = {name: key for bit, (name, key) in zip((1, 2, 4, 8), edges) if c & bit}
+        # a cell crosses zero on 2 or 4 of its edges
+        if len(cell_edges) == 2:
+            pairs = [tuple(cell_edges)]
+        else:
+            # saddle: the center sign says which diagonal pair of corners joins
+            center = d(0.5 * (u_axis[i] + u_axis[i + 1]), 0.5 * (v_axis[j] + v_axis[j + 1]))
+            if (center >= 0) == s00[i, j]:
+                pairs = [("bottom", "right"), ("top", "left")]
             else:
-                continue
-            for ea, eb in pairs:
-                segments.append((edge_point(*cell_edges[ea]), edge_point(*cell_edges[eb])))
+                pairs = [("bottom", "left"), ("right", "top")]
+        for ea, eb in pairs:
+            segments.append((edge_point(*cell_edges[ea]), edge_point(*cell_edges[eb])))
     return segments, crossings
 
 
@@ -402,17 +497,10 @@ def _chain_segments(segments):
 
 def _polyline_tangents(surf, pts, tols):
     """Unit tangents along rot(grad lam), aligned with the walk direction."""
-    n = len(pts)
-    tangents = np.zeros((n, 2))
-    flags = np.zeros(n, dtype=bool)
-    for k in range(n):
-        t, norm = _level_tangent(surf, pts[k])
-        flags[k] = norm <= tols.deg
-        if k + 1 < n:
-            step = pts[k + 1] - pts[k]
-        else:
-            step = pts[k] - pts[k - 1]
-        tangents[k] = _unit(step)[0] if flags[k] else _aligned(t, step)
+    t, norm = _level_tangent(surf, pts)
+    flags = norm <= tols.deg
+    steps = np.concatenate([pts[1:] - pts[:-1], pts[-1:] - pts[-2:-1]])
+    tangents = np.where(flags[:, None], _unit(steps)[0], _aligned(t, steps))
     return tangents, flags
 
 
@@ -505,7 +593,7 @@ def _null_line_curves(curve, surf, domain, n_samples, tols):
             vs = us - c if kind == "difference" else c - us
             pts = np.column_stack([us, vs])
             tangents = np.tile(_NULL_LINE_DIRECTION[kind], (len(pts), 1))
-            flags = np.array([_level_tangent(surf, q)[1] <= tols.deg for q in pts])
+            flags = _level_tangent(surf, pts)[1] <= tols.deg
             curves.append(
                 SingularCurve(
                     points=pts, tangents=tangents, degenerate_flags=flags,
@@ -592,92 +680,85 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
 
 # -- local windows along the singular curve -----------------------------------
 
-
-def _march_window(surf, center, tols, h, steps=2):
-    """Points at arc-length offsets -steps*h .. steps*h along {lam=0}.
-
-    Tangent-step plus Newton projection; requires a non-degenerate gradient
-    along the way.  Returns (points, directions) ordered by offset, or None.
-    """
-    proj_tol = max(1e-13, tols.sing * 1e-4)
-    q0 = _newton_project(surf, center, proj_tol, max_travel=10 * h)
-    if q0 is None:
-        return None
-
-    def tangent_at(q, align_with=None):
-        t, norm = _level_tangent(surf, q)
-        return None if norm <= tols.deg else _aligned(t, align_with)
-
-    t0 = tangent_at(q0)
-    if t0 is None:
-        return None
-
-    def march(direction):
-        pts, dirs = [], []
-        q, t = q0, direction
-        for _ in range(steps):
-            q_next = _newton_project(surf, q + h * t, proj_tol, max_travel=10 * h)
-            if q_next is None:
-                return None
-            t_next = tangent_at(q_next, align_with=t)
-            if t_next is None:
-                return None
-            pts.append(q_next)
-            dirs.append(t_next)
-            q, t = q_next, t_next
-        return pts, dirs
-
-    fwd = march(t0)
-    bwd = march(-t0)
-    if fwd is None or bwd is None:
-        return None
-    points = [*reversed(bwd[0]), q0, *fwd[0]]
-    directions = [*(-d for d in reversed(bwd[1])), t0, *fwd[1]]
-    return np.array(points), np.array(directions)
-
-
-def _window_null_fields(surf, points, tols):
-    """Unit null vectors along a window: one candidate, sign-aligned."""
-    cands = [_null_candidates(_chart_matrix(surf, q[0], q[1])) for q in points]
-    norms = np.array([[np.hypot(*c1), np.hypot(*c2)] for c1, c2 in cands])
-    pick = int(np.argmax(norms.min(axis=0)))
-    if norms[:, pick].min() <= tols.branch:
-        return None
-    etas = []
-    for pair in cands:
-        etas.append(_aligned(_unit(pair[pick])[0], etas[-1] if etas else None))
-    return np.array(etas)
-
-
 # offsets, in units of the spacing h, of the five-point stencil
 _STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def _stencil_derivative(values, h):
+    """Derivative at the middle of five samples values[0..4] with spacing h."""
     return (-values[4] + 8 * values[3] - 8 * values[1] + values[0]) / (12 * h)
 
 
-def _window(surf, p, tols, h, null_line=None):
-    """(points, tangents, etas) of the five-point stencil with spacing h at p.
+def _march_windows(surf, p, tols, h):
+    """Points at arc-length offsets -2h .. 2h along {lam = 0} through each row of p.
 
-    null_line None marches along {lam = 0}; "sum" or "difference" steps along
-    that exact null line through p instead.
+    Tangent steps plus Newton projection, marched forward and then backward
+    from the projected centre; the gradient must stay above tols.deg on the
+    way.  Returns (points, tangents), (n, 5, 2) each and ordered by offset,
+    and the mask of rows whose window exists.  Failed rows stop marching.
     """
-    if null_line is None:
-        window = _march_window(surf, p, tols, h)
-        if window is None:
-            raise TraceRequired(
-                f"no smooth non-degenerate singular curve through {tuple(p)}"
-            )
-        points, directions = window
-    else:
-        direction = _NULL_LINE_DIRECTION[null_line]
-        points = np.array([p], float) + (h * _STENCIL)[:, None] * direction
-        directions = np.tile(direction, (5, 1))
-    etas = _window_null_fields(surf, points, tols)
-    if etas is None:
-        raise TraceRequired("null direction degenerates inside the window")
-    return points, directions, etas
+    tol = np.maximum(1e-13, tols.sing * 1e-4)
+    travel = 10 * h
+    points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
+    q0, ok = _newton_project_rows(surf, p, tol, travel)
+    rows = np.flatnonzero(ok)
+    t0, norm = _level_tangent(surf, q0[rows])
+    smooth = ~(norm <= tols.deg[rows])
+    rows, t0 = rows[smooth], t0[smooth]
+    points[rows, 2], dirs[rows, 2] = q0[rows], t0
+    alive = []
+    for sign, slots in ((1.0, (3, 4)), (-1.0, (1, 0))):
+        live, q, t = rows, q0[rows], sign * t0
+        for k in slots:
+            q, ok = _newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
+            live, q, t = live[ok], q[ok], t[ok]
+            t_next, norm = _level_tangent(surf, q)
+            smooth = ~(norm <= tols.deg[live])
+            live, q, t = live[smooth], q[smooth], _aligned(t_next[smooth], t[smooth])
+            points[live, k], dirs[live, k] = q, sign * t
+        alive.append(live)
+    ok = np.zeros(len(p), dtype=bool)
+    ok[np.intersect1d(*alive)] = True
+    return points, dirs, ok
+
+
+def _null_fields(surf, points, branch):
+    """Unit null vectors along windows of points (n, 5, 2), and a mask of rows where they exist.
+
+    One rotated-row candidate serves a whole window: the one whose smallest
+    length over it is larger, the first on a tie.  A row fails when that
+    length is within its branch tolerance.  Signs follow the first point.
+    """
+    c1, c2 = _null_candidates(_chart_matrix(surf, points[..., 0], points[..., 1]))
+    n1, n2 = np.hypot(c1[..., 0], c1[..., 1]), np.hypot(c2[..., 0], c2[..., 1])
+    second = n2.min(axis=1) > n1.min(axis=1)
+    ok = ~(np.where(second, n2.min(axis=1), n1.min(axis=1)) <= branch)
+    etas = _unit(np.where(second[:, None, None], c2, c1))[0]
+    for k in range(1, 5):
+        etas[:, k] = _aligned(etas[:, k], etas[:, k - 1])
+    return etas, ok
+
+
+def _windows(surf, p, tols, h, kinds):
+    """(points, tangents, etas, ok) of the five-point stencils with spacing h at the rows of p.
+
+    A row whose kind is "sum" or "difference" steps along that exact null
+    line through it; a row of kind None marches along {lam = 0}.  ok marks
+    the rows whose window and null field exist.
+    """
+    on_line = np.array([k is not None for k in kinds], dtype=bool)
+    points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
+    ok = np.ones(len(p), dtype=bool)
+    rows = np.flatnonzero(on_line)
+    direction = np.array([_NULL_LINE_DIRECTION[k] for k in kinds[rows]]).reshape(-1, 1, 2)
+    points[rows] = p[rows, None, :] + (h[rows, None] * _STENCIL)[:, :, None] * direction
+    dirs[rows] = direction
+    rows = np.flatnonzero(~on_line)
+    points[rows], dirs[rows], ok[rows] = _march_windows(surf, p[rows], tols.rows(rows), h[rows])
+    etas = np.zeros_like(points)
+    rows = np.flatnonzero(ok)
+    etas[rows], ok[rows] = _null_fields(surf, points[rows], tols.branch[rows])
+    return points, dirs, etas, ok
 
 
 # -- point classification ------------------------------------------------------
@@ -727,91 +808,129 @@ def _snap_to_traced(p, traced, tol):
     return best[1], best[2]
 
 
+def _classify_points(curve, pts) -> list:
+    """Class labels of the points of the surface over the rows of pts, with evidence.
+
+    Decision order per row: regular; branch point; the two frontal-not-front
+    conditions; degenerate gradient; then the front criteria det(gamma', eta)
+    and its arc-length derivative on a five-point window marched along the
+    singular curve.  Each stage runs once, on the array of rows that reach
+    it.  An entry is None where the window or its null field does not exist.
+    """
+    p = _rows(pts)
+    if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
+        return []
+    surf = compile_surface(curve)
+    u, v = p[:, 0], p[:, 1]
+    n = len(p)
+    tols = _point_tols(curve, p)
+    lam, gu, gv = surf.density_jet(u, v)
+    grad = np.hypot(gu, gv)
+    degenerate = grad <= tols.deg
+    tags = np.full(n, TAG_REGULAR, dtype=object)
+    rank, det0, ddet, psi0, dpsi0 = (np.full(n, None, dtype=object) for _ in range(5))
+
+    rows = np.flatnonzero(~(np.abs(lam) > tols.sing))
+    rank[rows] = _lift_ranks(curve, _lift_frames(surf, u[rows], v[rows])).tolist()
+    branch = np.max(np.abs(surf.chart_derivatives(u[rows], v[rows])), axis=0) <= tols.branch[rows]
+    tags[rows[branch]] = TAG_BRANCH
+    rows = rows[~branch]
+
+    kinds = _fnf_kind(surf, u[rows], v[rows], tols.rows(rows))
+    fnf = np.array([k is not None for k in kinds], dtype=bool)
+    line = rows[fnf]
+    tags[line] = TAG_FRONTAL_NOT_FRONT
+    a, b, ok = _psi_windows(surf, p[line], tols.rows(line), kinds[fnf])
+    psi0[line[ok]], dpsi0[line[ok]] = a[ok].tolist(), b[ok].tolist()
+    rows = rows[~fnf]
+    tags[rows[degenerate[rows]]] = TAG_DEGENERATE_OTHER
+    rows = rows[~degenerate[rows]]
+
+    h = 0.01 * np.maximum(1.0, np.maximum(np.abs(u[rows]), np.abs(v[rows])))
+    _, dirs, etas, ok = _windows(surf, p[rows], tols.rows(rows), h, np.full(len(rows), None))
+    dets = _det2(dirs, etas)
+    d, dd = dets[:, 2], _stencil_derivative(dets.T, h)
+    two = rank[rows] == 2
+    swallowtail = two & (np.abs(d) <= _DET_TOL) & (np.abs(dd) > _DET_TOL)
+    tags[rows] = np.where(
+        two & (np.abs(d) > _DET_TOL), TAG_CUSPIDAL_EDGE,
+        np.where(swallowtail, TAG_SWALLOWTAIL, TAG_FRONT_UNCLASSIFIED),
+    ).tolist()
+    tags[rows[~ok]] = None
+    det0[rows], ddet[rows] = d.tolist(), dd.tolist()
+
+    return [
+        None if tag is None else SingularClass(
+            tag=tag, point=(pu, pv), degenerate=deg,
+            evidence=Evidence(density=lm, grad_norm=g, det_ge=d0, ddet_ge=dd0,
+                              psi0=s0, dpsi0=ds0, lift_rank=r),
+        )
+        for tag, pu, pv, deg, lm, g, d0, dd0, s0, ds0, r in zip(
+            tags, u.tolist(), v.tolist(), degenerate.tolist(), lam.tolist(), grad.tolist(),
+            det0, ddet, psi0, dpsi0, rank,
+        )
+    ]
+
+
 def classify_point(curve, p, traced=None) -> SingularClass:
     """Class label of the point of the surface over p, with evidence.
 
-    Decision order: regular; branch point; the two frontal-not-front
-    conditions; degenerate gradient; then the front criteria det(gamma', eta)
-    and its arc-length derivative on a five-point window along the singular
-    curve.  When `traced` is given, p must lie on one of its polylines for
-    the front criteria; otherwise a local window is marched directly.
+    One row of `_classify_points`.  When `traced` is given, p must lie on
+    one of its polylines for the front criteria; otherwise a local window is
+    marched directly.  Raises TraceRequired when the front criteria need a
+    window that does not exist.
     """
-    surf = compile_surface(curve)
-    tols = _point_tols(curve, p)
+    cls = _classify_points(curve, [p])[0]
     u, v = float(p[0]), float(p[1])
-    lam, gu, gv = _density_floats(surf, u, v)
-    grad_norm = float(np.hypot(gu, gv))
-    degenerate = grad_norm <= tols.deg
-
-    def verdict(tag, **extra):
-        ev = Evidence(density=lam, grad_norm=grad_norm, **extra)
-        return SingularClass(tag=tag, point=(u, v), evidence=ev, degenerate=degenerate)
-
-    if abs(lam) > tols.sing:
-        return verdict(TAG_REGULAR)
-
-    rank = lift_rank(curve, p)
-    f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
-    if max(abs(f1u), abs(f2u), abs(g1u), abs(g2u)) <= tols.branch:
-        return verdict(TAG_BRANCH, lift_rank=rank)
-
-    fnf = _fnf_kind(surf, u, v, tols)
-    if fnf is not None:
-        psi0 = dpsi0 = None
-        try:
-            psi0, dpsi0 = ccr_psi(curve, (u, v))
-        except (TraceRequired, NotSingular, BranchPointError):
-            pass
-        return verdict(TAG_FRONTAL_NOT_FRONT, lift_rank=rank, psi0=psi0, dpsi0=dpsi0)
-
-    if degenerate:
-        return verdict(TAG_DEGENERATE_OTHER, lift_rank=rank)
-
-    h = 0.01 * max(1.0, abs(u), abs(v))
-    if traced is not None:
+    # the snap check guards the front criteria, the rows that carry det_ge
+    if traced is not None and (cls is None or cls.evidence.det_ge is not None):
+        h = 0.01 * max(1.0, abs(u), abs(v))
         cell = max(
             float(np.hypot(*np.ptp(sc.points, axis=0))) / max(len(sc) - 1, 1)
             for sc in traced
         ) if traced else 0.0
         if _snap_to_traced((u, v), traced, max(4 * cell, 4 * h)) is None:
             raise TraceRequired(f"({u}, {v}) is not on a traced singular curve")
-    points, directions, etas = _window(surf, (u, v), tols, h)
-    dets = np.array([_det2(t, e) for t, e in zip(directions, etas)])
-    det0 = float(dets[2])
-    ddet = float(_stencil_derivative(dets, h))
-
-    if rank == 2 and abs(det0) > _DET_TOL:
-        return verdict(
-            TAG_CUSPIDAL_EDGE, det_ge=det0, ddet_ge=ddet, lift_rank=rank
-        )
-    if rank == 2 and abs(det0) <= _DET_TOL and abs(ddet) > _DET_TOL:
-        return verdict(
-            TAG_SWALLOWTAIL, det_ge=det0, ddet_ge=ddet, lift_rank=rank
-        )
-    return verdict(
-        TAG_FRONT_UNCLASSIFIED, det_ge=det0, ddet_ge=ddet, lift_rank=rank
-    )
+    if cls is None:
+        raise TraceRequired(f"no smooth non-degenerate singular curve through {(u, v)}")
+    return cls
 
 
 # -- cuspidal cross cap obstruction ---------------------------------------------
 
 
-def _psi_values(lift_jets, gammas, etas):
-    """det(dpsi(gamma'), D_eta nu, nu) at each window point.
+def _psi_values(frames, dirs, etas):
+    """det(dpsi(gamma'), D_eta nu, nu) at window points.
 
-    lift_jets(u, v) gives the (position, unit normal) jets at a point.
+    frames: the (x_u, x_v, nu, nu_u, nu_v) rows of `_lift_frames` at the
+    points; dirs and etas: the curve tangents and null vectors there.
     """
-    out = []
-    for (q, gdir), eta in zip(gammas, etas):
-        pj, nj = lift_jets(q[0], q[1])
-        gamma_dot = gdir[0] * pj.du + gdir[1] * pj.dv
-        d_eta_nu = eta[0] * nj.du + eta[1] * nj.dv
-        out.append(float(np.linalg.det(np.array([gamma_dot, d_eta_nu, nj.value]))))
-    return np.array(out)
+    x_u, x_v, nu, nu_u, nu_v = frames
+    gamma_dot = dirs[..., 0:1] * x_u + dirs[..., 1:2] * x_v
+    d_eta_nu = etas[..., 0:1] * nu_u + etas[..., 1:2] * nu_v
+    return np.linalg.det(np.stack([gamma_dot, d_eta_nu, nu], axis=-2))
 
 
 # stencil spacing of the cuspidal-cross-cap test
 _PSI_H = 0.01
+
+
+def _psi_windows(surf, p, tols, kinds):
+    """(Psi(0), Psi'(0), ok) at the singular rows of p; see `ccr_psi`.
+
+    kinds: the frontal-not-front kind of each row, whose window is the exact
+    null line, or None for a marched window.  ok marks the rows whose window
+    exists; the values of the others are meaningless.
+    """
+    if not len(p):  # most curves have no frontal-not-front rows
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
+    points, dirs, etas, ok = _windows(surf, p, tols, np.full(len(p), _PSI_H), kinds)
+    rows = np.flatnonzero(ok)
+    flat = points[rows].reshape(-1, 2)
+    frames = [f.reshape(len(rows), 5, 3) for f in _lift_frames(surf, flat[:, 0], flat[:, 1])]
+    psis = np.zeros((len(p), 5))
+    psis[rows] = _psi_values(frames, dirs[rows], etas[rows])
+    return psis[:, 2], _stencil_derivative(psis.T, _PSI_H), ok
 
 
 def ccr_psi(curve, p):
@@ -823,15 +942,16 @@ def ccr_psi(curve, p):
     marched window is used.  Raises TraceRequired when neither exists.
     """
     surf = compile_surface(curve)
-    tols = _point_tols(curve, p)
-    u, v = float(p[0]), float(p[1])
-    lam, _, _ = _density_floats(surf, u, v)
-    if abs(lam) > tols.sing:
-        raise NotSingular(f"({u}, {v}) is not singular")
-    fnf = _fnf_kind(surf, u, v, tols)
-    points, directions, etas = _window(surf, (u, v), tols, _PSI_H, null_line=fnf)
-    psis = _psi_values(surf.lift_jets, zip(points, directions), etas)
-    return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
+    q = _rows([p])
+    tols = _point_tols(curve, q)
+    lam, _, _ = surf.density_jet(q[:, 0], q[:, 1])
+    if np.abs(lam[0]) > tols.sing[0]:
+        raise NotSingular(f"({q[0, 0]}, {q[0, 1]}) is not singular")
+    kinds = _fnf_kind(surf, q[:, 0], q[:, 1], tols)
+    psi0, dpsi0, ok = _psi_windows(surf, q, tols, kinds)
+    if not ok[0]:
+        raise TraceRequired(f"no five-point window along a singular curve through {tuple(p)}")
+    return float(psi0[0]), float(dpsi0[0])
 
 
 def ccr_psi_control():
@@ -845,37 +965,62 @@ def ccr_psi_control():
         n = np.array([-2 * v**3, -3 * u * v, 2.0])
         return n / np.linalg.norm(n)
 
-    class _J:
-        def __init__(self, value, du, dv):
-            self.value, self.du, self.dv = value, du, dv
-
-    def lift_jets(u, v, fd=1e-6):
-        position = _J(
-            np.array([u, v * v, u * v**3]),
+    def frame(u, v, fd=1e-6):
+        """(x_u, x_v, nu, nu_u, nu_v) at (u, v), the normal's partials by central differences."""
+        return (
             np.array([1.0, 0.0, v**3]),
             np.array([0.0, 2 * v, 3 * u * v**2]),
-        )
-        unit_normal = _J(
             normal(u, v),
             (normal(u + fd, v) - normal(u - fd, v)) / (2 * fd),
             (normal(u, v + fd) - normal(u, v - fd)) / (2 * fd),
         )
-        return position, unit_normal
 
     points = np.column_stack([_PSI_H * _STENCIL, np.zeros(5)])
+    frames = [np.array(rows) for rows in zip(*(frame(u, v) for u, v in points))]
     directions = np.tile([1.0, 0.0], (5, 1))
     etas = np.tile([0.0, 1.0], (5, 1))
-    psis = _psi_values(lift_jets, zip(points, directions), etas)
+    psis = _psi_values(frames, directions, etas)
     return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
 
 
 # -- swallowtail search ----------------------------------------------------------
 
 
+def _node_dets(surf, sc):
+    """det(gamma', eta) at the nodes of a traced curve; None where it is undefined.
+
+    Undefined at nodes flagged degenerate and where the tangent or the null
+    direction vanishes.  Along the other nodes each vector is `_aligned`
+    with the aligned vector of the node before; since a sign flip of a
+    reference flips its dot exactly, the chain of signs follows from the
+    dots of consecutive raw vectors.
+    """
+    pts = sc.points
+    t, t_norm = _level_tangent(surf, pts)
+    eta, eta_norm = _null_direction(_chart_matrix(surf, pts[:, 0], pts[:, 1]))
+    rows = np.flatnonzero(~sc.degenerate_flags & (t_norm != 0.0) & (eta_norm != 0.0))
+    t, eta = t[rows], eta[rows]
+    dets = [None] * len(pts)
+    for k, d in zip(rows.tolist(), _det2(_chain_signs(t) * t, _chain_signs(eta) * eta).tolist()):
+        dets[k] = d
+    return dets
+
+
+def _chain_signs(vecs):
+    """(n, 1) signs s with s[0] = 1 and s[k] vecs[k] = `_aligned`(vecs[k], s[k-1] vecs[k-1])."""
+    signs = [1.0]
+    for d in _dot(vecs[1:], vecs[:-1]).tolist():
+        signs.append(-1.0 if signs[-1] * d < 0 else 1.0)
+    return np.array(signs[:len(vecs)])[:, None]
+
+
 def locate_swallowtails(curve, traced):
-    """Zeros of det(gamma', eta) along traced curves that classify as swallowtails."""
+    """Zeros of det(gamma', eta) along traced curves that classify as swallowtails.
+
+    The roots of all brackets are classified in one `_classify_points` call;
+    a root within 1e-6 of a swallowtail found before it is skipped.
+    """
     surf = compile_surface(curve)
-    found = []
 
     def det_at(q, ref_dir, ref_eta):
         """Signed determinant with orientation pinned to the references."""
@@ -893,18 +1038,11 @@ def locate_swallowtails(curve, traced):
         q_proj = _newton_project(surf, q, max(1e-13, tols.sing * 1e-4))
         return q if q_proj is None else q_proj
 
+    roots = []
     for sc in traced:
         if sc.kind != "traced":
             continue
-        dets = [None] * len(sc)
-        ref_dir = ref_eta = None
-        for k in range(len(sc)):
-            if sc.degenerate_flags[k]:
-                continue
-            d, t, e = det_at(sc.points[k], ref_dir, ref_eta)
-            if d is None:
-                continue
-            dets[k], ref_dir, ref_eta = d, t, e
+        dets = _node_dets(surf, sc)
         brackets = [(k, k + 1) for k in range(len(sc) - 1)]
         if sc.closed:
             brackets.append((len(sc) - 1, 0))
@@ -924,14 +1062,16 @@ def locate_swallowtails(curve, traced):
                 return 0.0 if d is None else d
 
             s_root = _bracket_root(along, 0.0, 1.0, along(0.0), along(1.0), xtol=1e-13)
-            if s_root is None:
-                continue
-            q = project((1 - s_root) * pa + s_root * pb)
-            if any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
-                continue
-            cls = classify_point(curve, q)
-            if cls.tag == TAG_SWALLOWTAIL:
-                found.append((q, cls))
+            if s_root is not None:
+                roots.append(project((1 - s_root) * pa + s_root * pb))
+    found = []
+    for q, cls in zip(roots, _classify_points(curve, roots)):
+        if any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
+            continue
+        if cls is None:
+            raise TraceRequired(f"no smooth non-degenerate singular curve through {tuple(q)}")
+        if cls.tag == TAG_SWALLOWTAIL:
+            found.append((q, cls))
     return found
 
 
@@ -939,10 +1079,16 @@ def locate_swallowtails(curve, traced):
 
 
 def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict:
-    """Trace plus classification at curve nodes, located swallowtails, probes."""
+    """Trace plus classification at curve nodes, located swallowtails, probes.
+
+    The nodes and the probes are classified in one `_classify_points` call.
+    """
     from .io import curve_to_json
 
     traced = trace_singular_curves(curve, domain, grid_res)
+    probes = list(probes)
+    nodes = [q for sc in traced for q in sc.points]
+    classes = _classify_points(curve, nodes + probes)
     points = []
 
     def add(p, cls):
@@ -956,20 +1102,14 @@ def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict
             }
         )
 
-    # every node lies on `traced`, so the snap check of classify_point is moot
-    for sc in traced:
-        for q in sc.points:
-            try:
-                cls = classify_point(curve, q)
-            except TraceRequired:
-                continue
+    # a node without a window is dropped
+    for q, cls in zip(nodes, classes):
+        if cls is not None:
             add(q, cls)
     for q, cls in locate_swallowtails(curve, traced):
         add(q, cls)
-    for q in probes:
-        try:
-            cls = classify_point(curve, q, traced=None)
-        except TraceRequired:
+    for q, cls in zip(probes, classes[len(nodes):]):
+        if cls is None:
             cls = SingularClass(
                 tag=TAG_FRONT_UNCLASSIFIED,
                 point=(float(q[0]), float(q[1])),

@@ -285,15 +285,17 @@ class Surface:
         c_k conj(c_l) of the coefficient vectors of F' and G' agree.  In the
         split ring c_k conj(c_l) carries rho_k sigma_l and sigma_k rho_l of
         the d'Alembert split, so this is rF' (x) sF' = rG' (x) sG' there.
-        Exact for exact curves.
+        Products are compared pair by pair, a missing coefficient counting
+        as 0, up to the first pair that differs.  Exact for exact curves.
         """
+        f = self.curve.F.derivative().coeffs
+        g = self.curve.G.derivative().coeffs
 
-        def outer(poly):
-            c = poly.derivative().coeffs
-            products = {(k, m): a * b.conjugate() for k, a in enumerate(c) for m, b in enumerate(c)}
-            return {key: p for key, p in products.items() if p != 0}
+        def product(c, k, m):
+            return c[k] * c[m].conjugate() if k < len(c) and m < len(c) else 0
 
-        return outer(self.curve.F) == outer(self.curve.G)
+        n = max(len(f), len(g))
+        return all(product(f, k, m) == product(g, k, m) for k in range(n) for m in range(n))
 
     # -- verification fixtures -------------------------------------------
 
@@ -401,11 +403,6 @@ class Surface:
     def normal_jet(self, u, v) -> Jet2:
         """Unit normal (n1, n2, 1)/sqrt(n1^2 + n2^2 + 1) and its partials."""
         return _unit_normal_jet(self.conormal_jet(u, v))
-
-    def lift_jets(self, u, v):
-        """(position_jet, normal_jet) at (u, v) from one field_jets evaluation."""
-        j = self.field_jets(float(u), float(v))
-        return _position_jet(j), _unit_normal_jet(_conormal_jet(j))
 
     def jet(self, p, which) -> Jet2:
         u, v = p
