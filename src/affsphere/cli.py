@@ -183,8 +183,10 @@ def _snap_probe(curve, domain, res, p):
     tols = singularities.tolerances_for(curve, domain.radius)
     if abs(surf.area_density(*p)) <= tols.sing:
         return p
-    q = singularities._newton_project(surf, p, tols.sing, max_travel=cell)
-    if q is not None and np.hypot(q[0] - p[0], q[1] - p[1]) <= cell:
+    (q,), (ok,) = singularities._newton_project_rows(
+        surf, np.array([p], dtype=float), np.array([tols.sing]), np.array([cell])
+    )
+    if ok and np.hypot(q[0] - p[0], q[1] - p[1]) <= cell:
         return float(q[0]), float(q[1])
     return p
 

@@ -23,10 +23,12 @@ one-row result bit for bit: the level-set tangent rot(grad lam)
 (`_level_tangent`) with its sign alignment (`_aligned`), the null direction
 of the chart matrix (`_null_candidates`, `_null_direction`), the five-point
 windows marched along {lam = 0} or stepped along an exact null line
-(`_windows`), and the bracketed root (`_bracket_root`) behind both edge
-crossings and swallowtail search.  The single-point Newton projection
-(`_newton_project`) stays scalar for the Brent steps of the swallowtail
-search and the CLI's probe snap, where one row costs less as floats.
+(`_windows`), the Newton projection onto {lam = 0}
+(`_newton_project_rows`), and Brent's method (`_brent`).  `_brent` solves a
+batch of brackets in lockstep, one call of f per iteration for the lanes
+still open, and each lane returns the float scipy's brentq returns on its
+bracket: the trace solves all crossed grid edges in one call, and the
+swallowtail search all brackets of all traced curves in another.
 """
 
 from __future__ import annotations
@@ -162,30 +164,15 @@ def _level_tangent(surf, q):
     return _unit(np.stack([-gv, gu], axis=-1))
 
 
-def _newton_project(surf, p, tol, max_travel=None):
-    """Nearest-point Newton iteration onto {lam = 0}; None on failure."""
-    q = np.array([float(p[0]), float(p[1])])
-    start = q.copy()
-    for _ in range(60):
-        val, gu, gv = _density_floats(surf, q[0], q[1])
-        if abs(val) <= tol:
-            return q
-        g2 = gu * gu + gv * gv
-        if g2 == 0.0:
-            return None
-        q = q - val * np.array([gu, gv]) / g2
-        if max_travel is not None and np.hypot(*(q - start)) > max_travel:
-            return None
-    val, _, _ = _density_floats(surf, q[0], q[1])
-    return q if abs(val) <= 100 * tol else None
-
-
 def _newton_project_rows(surf, q, tol, max_travel):
-    """`_newton_project` of every row of q with per-row tol and max_travel.
+    """Nearest-point Newton iteration onto {lam = 0} from every row of q, with
+    per-row tol and max_travel.
 
-    Returns (projected rows, ok).  A row freezes where the scalar iteration
-    returns, and is never evaluated after it fails, so each converged row is
-    the scalar result bit for bit.
+    Returns (projected rows, ok).  A row is ok once |lam| <= tol, or after 60
+    steps when |lam| <= 100 tol; it fails where the gradient vanishes or the
+    iterate moves farther than max_travel from its start.  A row freezes as
+    soon as it is decided and is never evaluated after that, so each row
+    equals its one-row result bit for bit.
     """
     start = q
     q = q.copy()
@@ -338,124 +325,128 @@ class SingularCurve:
 _BRENT_MAXITER = 100
 
 
+def _not_nan(x, fx):
+    bad = np.isnan(fx)
+    if bad.any():
+        raise ValueError(f"f({x[bad][0]}) is NaN; Brent's method cannot continue")
+    return fx
+
+
 def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon):
-    """Root of f in [a, b] by Brent's method, from nonzero f(a) = fa and f(b) = fb
-    of opposite signs.
+    """Roots of f on the brackets [a[i], b[i]] (lanes) by Brent's method, from
+    f(a) = fa and f(b) = fb; an end where f is 0, or NaN where the ends share a sign.
 
-    A step-for-step port of scipy's ``brentq`` (``Zeros/brentq.c``): the same
-    interpolate / extrapolate / bisect choices, the same stopping test on
-    delta = (xtol + rtol |xcur|) / 2 and the same defaults, so it returns the
-    same float.  Raises ValueError on a NaN value of f and RuntimeError when
-    _BRENT_MAXITER iterations do not converge.
+    The lanes advance in lockstep, each iteration one call f(x, lanes) at the
+    iterates x of the unconverged lanes (indices into a).  Each lane takes the
+    IEEE steps of scipy's ``brentq`` (``Zeros/brentq.c``) with the same
+    stopping test and defaults, so it returns brentq's float.  Raises
+    ValueError on a NaN value of f and RuntimeError when _BRENT_MAXITER
+    iterations do not converge.
     """
-
-    def checked(x, fx):
-        if math.isnan(fx):
-            raise ValueError(f"f({x}) is NaN; Brent's method cannot continue")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = checked(xpre, float(fa)), checked(xcur, float(fb))
-    xblk = fblk = spre = scur = 0.0
+    a, b, fa, fb = (np.asarray(x, dtype=float) for x in (a, b, fa, fb))
+    roots = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    lanes = np.flatnonzero((fa != 0.0) & (fb != 0.0) & ((fa < 0.0) != (fb < 0.0)))
+    xpre, xcur = a[lanes], b[lanes]
+    fpre, fcur = _not_nan(xpre, fa[lanes]), _not_nan(xcur, fb[lanes])
+    xblk = fblk = spre = scur = np.zeros(len(lanes))
     for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+        xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk, fpre, fcur, fblk = np.where(
+            swap, [xcur, xblk, xcur, fcur, fblk, fcur], [xpre, xcur, xblk, fpre, fcur, fblk])
+        delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        stry = math.inf  # bisect unless interpolation gives a short step
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:  # IEEE division gives +-inf or nan here; either bisects
-                pass
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        roots[lanes[done]] = xcur[done]
+        lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+            x[~done] for x in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+        )
+        if not lanes.size:
+            return roots
+        # a zero divisor makes the step +-inf or nan, which is never short: the lane bisects
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        tried = (np.abs(spre) > delta) & (np.abs(fcur) < np.abs(fpre))
+        stry = np.where(tried, np.where(xpre == xblk, interpolate, extrapolate), np.inf)
+        short = 2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta)
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
         xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = checked(xcur, float(f(xcur)))
-    raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = _not_nan(xcur, np.asarray(f(xcur, lanes), dtype=float))
+    raise RuntimeError(f"Brent's method failed to converge after {_BRENT_MAXITER} iterations, value is {xcur[0]}")
 
 
 def _bracket_root(f, a, b, fa, fb, **tol):
     """Root of f on [a, b] from its end values fa, fb; None when they share a sign.
 
-    tol: `_brent`'s xtol / rtol, which each caller sets for its own variable.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
-        return None
-    return _brent(f, a, b, fa, fb, **tol)
+    The one-lane `_brent` (tol: its xtol / rtol), f taking a Python float."""
+    root = _brent(lambda x, _: [f(float(x[0]))], [a], [b], [fa], [fb], **tol)[0]
+    return None if math.isnan(root) else float(root)
 
 
 def _marching_squares(surf, u_axis, v_axis, lam_grid):
     """Segments of {lam=0} as pairs of edge ids, plus edge crossing points.
 
     Cell cases come from the grid signs in one array pass; only the cells
-    that cross zero are visited, in row-major order.  lam_grid must come from
-    surf.density_grid, whose nodes equal the scalar density bit for bit, so
-    every bracket handed to `_brent` changes sign.
+    that cross zero are visited, in row-major order.  The saddle cells'
+    centres take one density call, and the crossed edges one lockstep
+    `_brent` call whose lanes each give the float of a scalar solve on that
+    edge.  lam_grid must come from surf.density_grid, whose nodes equal the
+    scalar density bit for bit, so every bracket changes sign.
     """
-    d = surf.area_density
-    tol = {"xtol": 1e-14, "rtol": 8.9e-16}
     sgn = lam_grid >= 0.0
     s00, s10, s01, s11 = sgn[:-1, :-1], sgn[1:, :-1], sgn[:-1, 1:], sgn[1:, 1:]
     case = (s00 != s10) * 1 + (s10 != s11) * 2 + (s01 != s11) * 4 + (s00 != s01) * 8
-    crossings = {}
-
-    def edge_point(kind, i, j):
-        key = (kind, i, j)
-        if key in crossings:
-            return key
-        if kind == "h":
-            a, b = u_axis[i], u_axis[i + 1]
-            v0 = v_axis[j]
-            root = _bracket_root(
-                lambda x: d(x, v0), a, b, lam_grid[i, j], lam_grid[i + 1, j], **tol
-            )
-            crossings[key] = (root, v0)
-        else:
-            a, b = v_axis[j], v_axis[j + 1]
-            u0 = u_axis[i]
-            root = _bracket_root(
-                lambda x: d(u0, x), a, b, lam_grid[i, j], lam_grid[i, j + 1], **tol
-            )
-            crossings[key] = (u0, root)
-        return key
+    iu, iv = np.nonzero(case)
+    if not iu.size:
+        return [], {}
+    cases = case[iu, iv]
+    # saddle: the centre sign says which diagonal pair of corners joins
+    saddles = np.flatnonzero(cases == 15)
+    si, sj = iu[saddles], iv[saddles]
+    joins_00 = np.zeros(len(cases), dtype=bool)
+    if saddles.size:
+        centre = surf._density(0.5 * (u_axis[si] + u_axis[si + 1]), 0.5 * (v_axis[sj] + v_axis[sj + 1]))
+        joins_00[saddles] = (centre >= 0) == s00[si, sj]
 
     segments = []
-    iu, iv = np.nonzero(case)
-    for i, j, c in zip(iu.tolist(), iv.tolist(), case[iu, iv].tolist()):
+    for i, j, c, join_00 in zip(iu.tolist(), iv.tolist(), cases.tolist(), joins_00.tolist()):
         edges = (("bottom", ("h", i, j)), ("right", ("v", i + 1, j)),
                  ("top", ("h", i, j + 1)), ("left", ("v", i, j)))
         cell_edges = {name: key for bit, (name, key) in zip((1, 2, 4, 8), edges) if c & bit}
         # a cell crosses zero on 2 or 4 of its edges
         if len(cell_edges) == 2:
             pairs = [tuple(cell_edges)]
+        elif join_00:
+            pairs = [("bottom", "right"), ("top", "left")]
         else:
-            # saddle: the center sign says which diagonal pair of corners joins
-            center = d(0.5 * (u_axis[i] + u_axis[i + 1]), 0.5 * (v_axis[j] + v_axis[j + 1]))
-            if (center >= 0) == s00[i, j]:
-                pairs = [("bottom", "right"), ("top", "left")]
-            else:
-                pairs = [("bottom", "left"), ("right", "top")]
-        for ea, eb in pairs:
-            segments.append((edge_point(*cell_edges[ea]), edge_point(*cell_edges[eb])))
+            pairs = [("bottom", "left"), ("right", "top")]
+        segments += [(cell_edges[ea], cell_edges[eb]) for ea, eb in pairs]
+
+    keys = list(dict.fromkeys(key for segment in segments for key in segment))
+    kind, i, j = zip(*keys)
+    horizontal, i, j = np.array(kind) == "h", np.array(i), np.array(j)
+    i1, j1 = i + horizontal, j + ~horizontal  # far end of each edge
+    fixed = np.where(horizontal, v_axis[j], u_axis[i])
+
+    def density_along(x, lanes):
+        h, c = horizontal[lanes], fixed[lanes]
+        return surf._density(np.where(h, x, c), np.where(h, c, x))
+
+    roots = _brent(
+        density_along,
+        np.where(horizontal, u_axis[i], v_axis[j]), np.where(horizontal, u_axis[i1], v_axis[j1]),
+        lam_grid[i, j], lam_grid[i1, j1], xtol=1e-14, rtol=8.9e-16,
+    )
+    crossings = {
+        key: (x, c) if h else (c, x)
+        for key, h, x, c in zip(keys, horizontal.tolist(), roots.tolist(), fixed.tolist())
+    }
     return segments, crossings
 
 
@@ -986,24 +977,38 @@ def ccr_psi_control():
 # -- swallowtail search ----------------------------------------------------------
 
 
-def _node_dets(surf, sc):
-    """det(gamma', eta) at the nodes of a traced curve; None where it is undefined.
+def _frame_dets(surf, q, ref_dir, ref_eta):
+    """(det(gamma', eta), gamma', eta, defined) at the rows of q, the level tangent
+    gamma' and null direction eta `_aligned` with the reference rows; det is
+    undefined where either vector vanishes."""
+    t, t_norm = _level_tangent(surf, q)
+    eta, eta_norm = _null_direction(_chart_matrix(surf, q[:, 0], q[:, 1]))
+    t, eta = _aligned(t, ref_dir), _aligned(eta, ref_eta)
+    return _det2(t, eta), t, eta, (t_norm != 0.0) & (eta_norm != 0.0)
 
-    Undefined at nodes flagged degenerate and where the tangent or the null
-    direction vanishes.  Along the other nodes each vector is `_aligned`
-    with the aligned vector of the node before; since a sign flip of a
-    reference flips its dot exactly, the chain of signs follows from the
-    dots of consecutive raw vectors.
+
+def _node_dets(surf, curves):
+    """det(gamma', eta) at the nodes of each traced curve, a list per curve; None where it is undefined.
+
+    One array pass over the nodes of all curves.  Undefined at nodes flagged
+    degenerate and where the tangent or the null direction vanishes.  Along
+    the other nodes of a curve each vector is `_aligned` with the aligned
+    vector of the node before; since a sign flip of a reference flips its
+    dot exactly, the chain of signs follows from the dots of consecutive raw
+    vectors.
     """
-    pts = sc.points
-    t, t_norm = _level_tangent(surf, pts)
-    eta, eta_norm = _null_direction(_chart_matrix(surf, pts[:, 0], pts[:, 1]))
-    rows = np.flatnonzero(~sc.degenerate_flags & (t_norm != 0.0) & (eta_norm != 0.0))
-    t, eta = t[rows], eta[rows]
-    dets = [None] * len(pts)
-    for k, d in zip(rows.tolist(), _det2(_chain_signs(t) * t, _chain_signs(eta) * eta).tolist()):
-        dets[k] = d
-    return dets
+    _, t, eta, defined = _frame_dets(surf, np.concatenate([sc.points for sc in curves]), None, None)
+    defined &= ~np.concatenate([sc.degenerate_flags for sc in curves])
+    cuts = np.cumsum([len(sc) for sc in curves])[:-1]
+    out = []
+    for ts, etas, ok in zip(np.split(t, cuts), np.split(eta, cuts), np.split(defined, cuts)):
+        rows = np.flatnonzero(ok)
+        ts, etas = ts[rows], etas[rows]
+        dets = [None] * len(ok)
+        for k, d in zip(rows.tolist(), _det2(_chain_signs(ts) * ts, _chain_signs(etas) * etas).tolist()):
+            dets[k] = d
+        out.append(dets)
+    return out
 
 
 def _chain_signs(vecs):
@@ -1014,63 +1019,57 @@ def _chain_signs(vecs):
     return np.array(signs[:len(vecs)])[:, None]
 
 
+def _project_or_keep(surf, curve, q):
+    """Rows of q Newton-projected onto {lam = 0}; a row whose projection fails stays put."""
+    tol = np.maximum(1e-13, _point_tols(curve, q).sing * 1e-4)
+    proj, ok = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
+    return np.where(ok[:, None], proj, q)
+
+
 def locate_swallowtails(curve, traced):
     """Zeros of det(gamma', eta) along traced curves that classify as swallowtails.
 
-    The roots of all brackets are classified in one `_classify_points` call;
-    a root within 1e-6 of a swallowtail found before it is skipped.
+    Every pair of consecutive nodes where det changes sign is a bracket, and
+    all brackets of all curves are solved in one lockstep `_brent` call,
+    det evaluated at the Newton projections of the points of the segment.
+    The roots are classified in one `_classify_points` call.  A root without
+    a window is dropped, as a traced node without one is, and a root within
+    1e-6 of a swallowtail found before it is skipped.
     """
     surf = compile_surface(curve)
+    curves = [sc for sc in traced if sc.kind == "traced"]
+    if not curves:
+        return []
+    brackets = []
+    for sc, dets in zip(curves, _node_dets(surf, curves)):
+        for k in range(len(sc) - 1 + sc.closed):  # a closed curve's last bracket ends at node 0
+            k_next = (k + 1) % len(sc)
+            if not (dets[k] is None or dets[k_next] is None or dets[k] * dets[k_next] > 0):
+                brackets.append((sc.points[k], sc.points[k_next], sc.tangents[k]))
+    if not brackets:
+        return []
+    pa, pb, tangent = (np.array(x) for x in zip(*brackets))
+    # constant references keep the sign of det continuous while
+    # `_brent` samples a bracket out of order
+    _, dir0, eta0, defined = _frame_dets(surf, pa, tangent, None)
+    pa, pb, dir0, eta0 = pa[defined], pb[defined], dir0[defined], eta0[defined]
 
-    def det_at(q, ref_dir, ref_eta):
-        """Signed determinant with orientation pinned to the references."""
-        t, norm = _level_tangent(surf, q)
-        if norm == 0.0:
-            return None, None, None
-        eta, eta_norm = _null_direction(_chart_matrix(surf, q[0], q[1]))
-        if eta_norm == 0.0:
-            return None, None, None
-        t, eta = _aligned(t, ref_dir), _aligned(eta, ref_eta)
-        return _det2(t, eta), t, eta
+    def det_along(s, lanes):
+        q = _project_or_keep(surf, curve, (1 - s)[:, None] * pa[lanes] + s[:, None] * pb[lanes])
+        d, _, _, defined = _frame_dets(surf, q, dir0[lanes], eta0[lanes])
+        return np.where(defined, d, 0.0)
 
-    def project(q):
-        tols = _point_tols(curve, q)
-        q_proj = _newton_project(surf, q, max(1e-13, tols.sing * 1e-4))
-        return q if q_proj is None else q_proj
-
-    roots = []
-    for sc in traced:
-        if sc.kind != "traced":
-            continue
-        dets = _node_dets(surf, sc)
-        brackets = [(k, k + 1) for k in range(len(sc) - 1)]
-        if sc.closed:
-            brackets.append((len(sc) - 1, 0))
-        for k, k_next in brackets:
-            da, db = dets[k], dets[k_next]
-            if da is None or db is None or da * db > 0:
-                continue
-            pa, pb = sc.points[k], sc.points[k_next]
-            # constant references keep the sign of det continuous while
-            # `_brent` samples the bracket out of order
-            _, dir0, eta0 = det_at(pa, sc.tangents[k], None)
-            if dir0 is None:
-                continue
-
-            def along(s):
-                d, _, _ = det_at(project((1 - s) * pa + s * pb), dir0, eta0)
-                return 0.0 if d is None else d
-
-            s_root = _bracket_root(along, 0.0, 1.0, along(0.0), along(1.0), xtol=1e-13)
-            if s_root is not None:
-                roots.append(project((1 - s_root) * pa + s_root * pb))
+    lanes = np.arange(len(pa))  # both ends of every bracket in one call
+    fa, fb = np.split(det_along(np.repeat([0.0, 1.0], len(pa)), np.tile(lanes, 2)), 2)
+    s = _brent(det_along, np.zeros(len(pa)), np.ones(len(pa)), fa, fb, xtol=1e-13)
+    hit = ~np.isnan(s)
+    s, pa, pb = s[hit], pa[hit], pb[hit]
+    roots = _project_or_keep(surf, curve, (1 - s)[:, None] * pa + s[:, None] * pb)
     found = []
     for q, cls in zip(roots, _classify_points(curve, roots)):
-        if any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
+        if cls is None or cls.tag != TAG_SWALLOWTAIL:
             continue
-        if cls is None:
-            raise TraceRequired(f"no smooth non-degenerate singular curve through {tuple(q)}")
-        if cls.tag == TAG_SWALLOWTAIL:
+        if not any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
             found.append((q, cls))
     return found
 

@@ -89,11 +89,6 @@ class Domain:
             raise InvalidDomain(f"resolution {nu}x{nv} below 2x2")
         return (np.linspace(self.u0, self.u1, nu), np.linspace(self.v0, self.v1, nv))
 
-    def contains(self, p, pad=0.0):
-        return (self.u0 - pad <= p[0] <= self.u1 + pad) and (
-            self.v0 - pad <= p[1] <= self.v1 + pad
-        )
-
 
 def _check_degree(poly, name):
     if poly.degree > MAX_CURVE_DEGREE:
