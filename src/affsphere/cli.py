@@ -198,6 +198,8 @@ def cmd_verify(args) -> int:
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise InvalidDomain(f"unknown suite name(s): {', '.join(unknown)}")
+    if not names:
+        raise InvalidDomain("no suite selected")
 
     surf = _compile(curve, domain)
     flip_q = args.corrupt == "flip-q"

@@ -8,11 +8,16 @@ Curve file schema (JSON):
 
 Coefficient index is the power of z.  Rational entries are strings like
 "3" or "-1/2" and survive a round trip exactly; plain numbers are floats.
+
+The OBJ and CSV mesh writers stream one grid row at a time, so a write holds
+a few rows of text beside the grid: OBJ formats each row with one ``%``, CSV
+each line.  The JSON grid is one ``json.dump`` of nested lists.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import repeat
 
 import numpy as np
 
@@ -170,34 +175,26 @@ def save_waves(u1, v1, u2, v2, path):
 def write_obj(grid: SurfaceGrid, path):
     """Wavefront OBJ: row-major vertices, quad faces between grid neighbours."""
     nu, nv = grid.shape
-    lines = []
-    xs, ys, zs = grid.x1, grid.x2, grid.phi
-    for i in range(nu):
-        for j in range(nv):
-            lines.append(f"v {xs[i, j]:.9g} {ys[i, j]:.9g} {zs[i, j]:.9g}")
-    for i in range(nu - 1):
-        for j in range(nv - 1):
-            a = i * nv + j + 1
-            b = a + nv
-            lines.append(f"f {a} {b} {b + 1} {a + 1}")
+    vertices, faces = "v %.9g %.9g %.9g\n" * nv, "f %d %d %d %d\n" * (nv - 1)
+    ids = np.arange(1, nv)  # 1-based ids of the first row's vertices but its last
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for i in range(nu):
+            rows = np.column_stack([grid.x1[i], grid.x2[i], grid.phi[i]])
+            fh.write(vertices % tuple(rows.ravel().tolist()))
+        for i in range(nu - 1):
+            a = ids + i * nv
+            fh.write(faces % tuple(np.column_stack([a, a + nv, a + nv + 1, a + 1]).ravel().tolist()))
 
 
 def write_csv(grid: SurfaceGrid, path):
     """CSV with columns u,v,x1,x2,phi,n1,n2,lambda at full float precision."""
-    nu, nv = grid.shape
+    line = ",".join(["%.17g"] * 8) + "\n"
+    v = grid.v_axis.tolist()
     with open(path, "w") as fh:
         fh.write("u,v,x1,x2,phi,n1,n2,lambda\n")
-        for i in range(nu):
-            u = grid.u_axis[i]
-            for j in range(nv):
-                row = (
-                    u, grid.v_axis[j], grid.x1[i, j], grid.x2[i, j],
-                    grid.phi[i, j], grid.n1[i, j], grid.n2[i, j],
-                    grid.density[i, j],
-                )
-                fh.write(",".join(f"{val:.17g}" for val in row) + "\n")
+        for i, u in enumerate(grid.u_axis.tolist()):
+            fields = (f[i].tolist() for f in (grid.x1, grid.x2, grid.phi, grid.n1, grid.n2, grid.density))
+            fh.write("".join([line % row for row in zip(repeat(u), v, *fields)]))
 
 
 def grid_to_json(grid: SurfaceGrid) -> dict:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import Domain, Surface, compile_surface
+from .surfaces import Domain, Surface, _dot, compile_surface
 
 
 class PatchNotGraph(ValueError):
@@ -275,7 +275,7 @@ def ccr_residual(curve, domain: Domain | None = None):
         x_u, x_v, _, n_u, n_v = sg._lift_frames(surf, p[rows, 0], p[rows, 1])
         # Frobenius norms of the 3x2 Jacobians, summed in np.linalg.norm's order
         jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x_u, x_v), (n_u, n_v)))
-        scale = np.maximum(1.0, np.sqrt(sg._dot(jac_x, jac_x)) * np.sqrt(sg._dot(jac_n, jac_n)))
+        scale = np.maximum(1.0, np.sqrt(_dot(jac_x, jac_x)) * np.sqrt(_dot(jac_n, jac_n)))
         res = np.abs(dpsi0) / scale
     main = _report("ccr", res, 1e-6)
     _, dpsi_control = sg.ccr_psi_control()

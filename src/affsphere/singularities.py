@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paracomplex import para_to_dalembert
-from .surfaces import Domain, compile_surface
+from .surfaces import Domain, _conormal_jet, _dot, _position_jet, _unit_normal_jet, compile_surface
 
 TAG_REGULAR = "Regular"
 TAG_BRANCH = "BranchPoint"
@@ -124,16 +124,6 @@ def grad_density(curve, p):
 def _rows(pts):
     """(n, 2) float array of a sequence of (u, v) pairs or an (n, 2) array."""
     return np.asarray(pts, dtype=float).reshape(-1, 2)
-
-
-def _dot(a, b):
-    """Row-wise dot products over the last axis.
-
-    matmul of (1, k) by (k, 1) runs the BLAS dot that a 1-D `a @ b` runs, so
-    each row equals the dot of that row alone bit for bit; an elementwise sum
-    of products does not.
-    """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _unit(vec):
@@ -249,24 +239,12 @@ def _lift_frames(surf, u, v):
     """(x_u, x_v, nu, nu_u, nu_v) at the points (u, v), each an (n, 3) array.
 
     The first partials of the position and of the unit normal, from one
-    field_jets call.  The normal runs surfaces._unit_normal_jet's operations
-    row by row: dots through `_dot`, and powers through float_power, which
-    calls the C pow that Python floats use, so each row equals
-    Surface.position_jet and Surface.normal_jet at that point bit for bit.
+    field_jets call and the row forms of the surface's jets, so each row
+    equals Surface.position_jet and Surface.normal_jet at that point bit for bit.
     """
     j = surf.field_jets(u, v)
-    one, zero = np.ones_like(u), np.zeros_like(u)
-    x_u = np.stack([j.x1[1], j.x2[1], j.phi[1]], axis=-1)
-    x_v = np.stack([j.x1[2], j.x2[2], j.phi[2]], axis=-1)
-    n = np.stack([j.n1[0], j.n2[0], one], axis=-1)
-    n_u = np.stack([j.n1[1], j.n2[1], zero], axis=-1)
-    n_v = np.stack([j.n1[2], j.n2[2], zero], axis=-1)
-    d = _dot(n, n)
-    du, dv = 2 * _dot(n, n_u), 2 * _dot(n, n_v)
-    w = np.float_power(d, -0.5)[:, None]
-    w_u = (-0.5 * du * np.float_power(d, -1.5))[:, None]
-    w_v = (-0.5 * dv * np.float_power(d, -1.5))[:, None]
-    return x_u, x_v, n * w, n_u * w + n * w_u, n_v * w + n * w_v
+    x, nu = _position_jet(j), _unit_normal_jet(_conormal_jet(j))
+    return x.du, x.dv, nu.value, nu.du, nu.dv
 
 
 def _lift_ranks(curve, frames):
@@ -451,38 +429,40 @@ def _marching_squares(surf, u_axis, v_axis, lam_grid):
 
 
 def _chain_segments(segments):
-    """Join edge-id segments into ordered chains; returns (chains, closed?)."""
-    adjacency = {}
-    for a, b in segments:
-        adjacency.setdefault(a, []).append(b)
-        adjacency.setdefault(b, []).append(a)
-    unused = {frozenset(segment) for segment in segments}
+    """Join edge-id segments into ordered chains: a list of (chain, closed?).
 
-    def walk(start, nxt):
-        chain = [start, nxt]
-        unused.discard(frozenset((start, nxt)))
-        while True:
-            options = [
-                k for k in adjacency.get(chain[-1], ())
-                if frozenset((chain[-1], k)) in unused
-            ]
-            if not options:
-                return chain
-            chain.append(options[0])
-            unused.discard(frozenset((chain[-2], chain[-1])))
+    An edge id lies on one segment (a chain end) or two, so the walk steps
+    to the neighbour it did not come from, and a set of the ids seen so far
+    tells what is walked.  Open chains start at the ids on one segment, in
+    order of first appearance; closed loops start at their first unseen
+    segment in grid order and end on their first id again.  The order
+    depends on neither dict nor set iteration (string hashes).
+    """
+    nbrs = {}
+    for a, b in segments:
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    seen = set()
+
+    def walk(prev, key):
+        chain = [prev, key]
+        seen.update(chain)
+        while len(nbrs[key]) == 2:
+            a, b = nbrs[key]
+            prev, key = key, b if a == prev else a
+            chain.append(key)
+            if key in seen:  # back at the start of a loop
+                break
+            seen.add(key)
+        return chain
 
     chains = []
-    for key, nbrs in adjacency.items():
-        if len(nbrs) == 1:
-            for nxt in nbrs:
-                if frozenset((key, nxt)) in unused:
-                    chains.append((walk(key, nxt), False))
-    # closed loops start at their first segment in grid order, so the
-    # polylines do not depend on set iteration order (string hashes)
+    for key, ends in nbrs.items():
+        if len(ends) == 1 and key not in seen:
+            chains.append((walk(key, ends[0]), False))
     for a, b in segments:
-        if frozenset((a, b)) in unused:
-            chain = walk(a, b)
-            chains.append((chain, chain[0] == chain[-1]))
+        if a not in seen:
+            chains.append((walk(a, b), True))
     return chains
 
 
@@ -604,18 +584,13 @@ def _near_null_line(pts, line, tol):
 
 
 def _mask_runs(mask, closed):
-    """Index runs where mask holds, merging across the seam of closed chains."""
-    runs, cur = [], []
-    for i in range(len(mask)):
-        if mask[i]:
-            cur.append(i)
-        elif cur:
-            runs.append(cur)
-            cur = []
-    if cur:
-        runs.append(cur)
+    """Index arrays of the runs where mask holds, merging across the seam of closed chains."""
+    idx = np.flatnonzero(mask)
+    if not idx.size:
+        return []
+    runs = np.split(idx, np.flatnonzero(np.diff(idx) != 1) + 1)
     if closed and len(runs) >= 2 and runs[0][0] == 0 and runs[-1][-1] == len(mask) - 1:
-        runs[0] = runs.pop() + runs[0]
+        runs[0] = np.concatenate([runs.pop(), runs[0]])
     return runs
 
 
@@ -768,15 +743,9 @@ class Evidence:
     lift_rank: int | None = None
 
     def as_dict(self):
-        return {
-            "lambda": self.density,
-            "grad_norm": self.grad_norm,
-            "det_ge": self.det_ge,
-            "ddet_ge": self.ddet_ge,
-            "psi0": self.psi0,
-            "dpsi0": self.dpsi0,
-            "lift_rank": self.lift_rank,
-        }
+        """The fields in order, density under the key "lambda"."""
+        out = dict(vars(self))
+        return {"lambda": out.pop("density"), **out}
 
 
 @dataclass(frozen=True)
@@ -785,18 +754,6 @@ class SingularClass:
     point: tuple
     evidence: Evidence
     degenerate: bool
-
-
-def _snap_to_traced(p, traced, tol):
-    best = None
-    for sc in traced:
-        d = np.hypot(*(sc.points - np.asarray(p, float)).T)
-        k = int(np.argmin(d))
-        if best is None or d[k] < best[0]:
-            best = (float(d[k]), sc, k)
-    if best is None or best[0] > tol:
-        return None
-    return best[1], best[2]
 
 
 def _classify_points(curve, pts) -> list:
@@ -880,7 +837,8 @@ def classify_point(curve, p, traced=None) -> SingularClass:
             float(np.hypot(*np.ptp(sc.points, axis=0))) / max(len(sc) - 1, 1)
             for sc in traced
         ) if traced else 0.0
-        if _snap_to_traced((u, v), traced, max(4 * cell, 4 * h)) is None:
+        nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
+        if not (np.hypot(nodes[:, 0] - u, nodes[:, 1] - v) <= max(4 * cell, 4 * h)).any():
             raise TraceRequired(f"({u}, {v}) is not on a traced singular curve")
     if cls is None:
         raise TraceRequired(f"no smooth non-degenerate singular curve through {(u, v)}")
@@ -987,36 +945,26 @@ def _frame_dets(surf, q, ref_dir, ref_eta):
     return _det2(t, eta), t, eta, (t_norm != 0.0) & (eta_norm != 0.0)
 
 
-def _node_dets(surf, curves):
-    """det(gamma', eta) at the nodes of each traced curve, a list per curve; None where it is undefined.
+def _node_dets(surf, pts, tangents, degenerate):
+    """det(gamma', eta) at the concatenated nodes of traced curves; NaN where undefined.
 
-    One array pass over the nodes of all curves.  Undefined at nodes flagged
-    degenerate and where the tangent or the null direction vanishes.  Along
-    the other nodes of a curve each vector is `_aligned` with the aligned
-    vector of the node before; since a sign flip of a reference flips its
-    dot exactly, the chain of signs follows from the dots of consecutive raw
-    vectors.
+    One array pass over the nodes of all curves.  gamma' is the curve's
+    tangent, which is +-rot(grad lam) exactly at every node not flagged
+    degenerate; det is undefined at the flagged nodes and where the null
+    direction vanishes.  Along the defined nodes each vector is `_aligned`
+    with the aligned vector of the node before.  A sign flip of a reference
+    flips its dot exactly, so the sign of det follows from the cumulative
+    product of the signs of consecutive dots of the raw vectors.  The signs
+    are fixed only up to one factor per curve, which leaves every product of
+    two dets on a curve, the bracket test, unchanged.
     """
-    _, t, eta, defined = _frame_dets(surf, np.concatenate([sc.points for sc in curves]), None, None)
-    defined &= ~np.concatenate([sc.degenerate_flags for sc in curves])
-    cuts = np.cumsum([len(sc) for sc in curves])[:-1]
-    out = []
-    for ts, etas, ok in zip(np.split(t, cuts), np.split(eta, cuts), np.split(defined, cuts)):
-        rows = np.flatnonzero(ok)
-        ts, etas = ts[rows], etas[rows]
-        dets = [None] * len(ok)
-        for k, d in zip(rows.tolist(), _det2(_chain_signs(ts) * ts, _chain_signs(etas) * etas).tolist()):
-            dets[k] = d
-        out.append(dets)
-    return out
-
-
-def _chain_signs(vecs):
-    """(n, 1) signs s with s[0] = 1 and s[k] vecs[k] = `_aligned`(vecs[k], s[k-1] vecs[k-1])."""
-    signs = [1.0]
-    for d in _dot(vecs[1:], vecs[:-1]).tolist():
-        signs.append(-1.0 if signs[-1] * d < 0 else 1.0)
-    return np.array(signs[:len(vecs)])[:, None]
+    eta, norm = _null_direction(_chart_matrix(surf, pts[:, 0], pts[:, 1]))
+    rows = np.flatnonzero((norm != 0.0) & ~degenerate)
+    t, eta = tangents[rows], eta[rows]
+    flips = [np.where(_dot(x[1:], x[:-1]) < 0, -1.0, 1.0) for x in (t, eta)]
+    dets = np.full(len(pts), np.nan)
+    dets[rows] = _det2(t, eta) * np.cumprod(np.concatenate([[1.0], flips[0] * flips[1]]))[:len(rows)]
+    return dets
 
 
 def _project_or_keep(surf, curve, q):
@@ -1040,15 +988,19 @@ def locate_swallowtails(curve, traced):
     curves = [sc for sc in traced if sc.kind == "traced"]
     if not curves:
         return []
-    brackets = []
-    for sc, dets in zip(curves, _node_dets(surf, curves)):
-        for k in range(len(sc) - 1 + sc.closed):  # a closed curve's last bracket ends at node 0
-            k_next = (k + 1) % len(sc)
-            if not (dets[k] is None or dets[k_next] is None or dets[k] * dets[k_next] > 0):
-                brackets.append((sc.points[k], sc.points[k_next], sc.tangents[k]))
-    if not brackets:
+    pts, tangents, flags = (np.concatenate([getattr(sc, name) for sc in curves])
+                            for name in ("points", "tangents", "degenerate_flags"))
+    dets = _node_dets(surf, pts, tangents, flags)
+    sizes = np.array([len(sc) for sc in curves])
+    ends = np.cumsum(sizes)
+    k_next = np.arange(1, ends[-1] + 1)  # node k's bracket ends at the next node,
+    k_next[ends - 1] = ends - sizes  # a curve's last bracket at its node 0
+    bracket = dets * dets[k_next] <= 0  # False where either det is NaN
+    bracket[ends[~np.array([sc.closed for sc in curves])] - 1] = False  # open curves have no last bracket
+    k = np.flatnonzero(bracket)
+    if not k.size:
         return []
-    pa, pb, tangent = (np.array(x) for x in zip(*brackets))
+    pa, pb, tangent = pts[k], pts[k_next[k]], tangents[k]
     # constant references keep the sign of det continuous while
     # `_brent` samples a bracket out of order
     _, dir0, eta0, defined = _frame_dets(surf, pa, tangent, None)

@@ -581,29 +581,46 @@ def _patched(jet, patch, u, v):
     return tuple(p(u, v) for p in polys)
 
 
+def _rows3(*fields):
+    """Jet2 whose vectors stack the jets of three scalar fields on the last axis."""
+    return Jet2(*(np.stack(np.broadcast_arrays(*t), axis=-1) for t in zip(*fields)))
+
+
 def _position_jet(j: FieldJets) -> Jet2:
-    return Jet2(*(np.array(t) for t in zip(j.x1, j.x2, j.phi)))
+    return _rows3(j.x1, j.x2, j.phi)
 
 
 def _conormal_jet(j: FieldJets) -> Jet2:
-    return Jet2(*(np.array(t) for t in zip(j.n1, j.n2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))))
+    return _rows3(j.n1, j.n2, (1.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+
+
+def _dot(a, b):
+    """Row-wise dot products over the last axis.
+
+    matmul of (1, k) by (k, 1) runs the BLAS dot that a 1-D `a @ b` runs, so
+    each row equals the dot of that row alone bit for bit; an elementwise sum
+    of products does not.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _unit_normal_jet(nj: Jet2) -> Jet2:
     """Unit normal (n1, n2, 1)/sqrt(delta), delta = n1^2 + n2^2 + 1, from the
-    conormal jet nj by the quotient rule."""
+    conormal jet nj by the quotient rule, at one point ((3,) vectors) or at the
+    rows of (n, 3) ones.  Dots go through `_dot` and powers through float_power,
+    the C pow of Python floats, so each row equals its one-row result bit for bit.
+    """
     n, n_u, n_v = nj.value, nj.du, nj.dv
-    d = float(n @ n)
-    du, dv = 2 * float(n @ n_u), 2 * float(n @ n_v)
-    duu = 2 * float(n_u @ n_u + n @ nj.duu)
-    duv = 2 * float(n_u @ n_v + n @ nj.duv)
-    dvv = 2 * float(n_v @ n_v + n @ nj.dvv)
-    w = d ** -0.5
-    w_u = -0.5 * du * d**-1.5
-    w_v = -0.5 * dv * d**-1.5
-    w_uu = -0.5 * duu * d**-1.5 + 0.75 * du * du * d**-2.5
-    w_uv = -0.5 * duv * d**-1.5 + 0.75 * du * dv * d**-2.5
-    w_vv = -0.5 * dvv * d**-1.5 + 0.75 * dv * dv * d**-2.5
+    d = _dot(n, n)[..., None]  # a length-1 last axis scales the rows
+    du, dv = 2 * _dot(n, n_u)[..., None], 2 * _dot(n, n_v)[..., None]
+    duu = 2 * (_dot(n_u, n_u) + _dot(n, nj.duu))[..., None]
+    duv = 2 * (_dot(n_u, n_v) + _dot(n, nj.duv))[..., None]
+    dvv = 2 * (_dot(n_v, n_v) + _dot(n, nj.dvv))[..., None]
+    w, p3, p5 = (np.float_power(d, e) for e in (-0.5, -1.5, -2.5))
+    w_u, w_v = -0.5 * du * p3, -0.5 * dv * p3
+    w_uu = -0.5 * duu * p3 + 0.75 * du * du * p5
+    w_uv = -0.5 * duv * p3 + 0.75 * du * dv * p5
+    w_vv = -0.5 * dvv * p3 + 0.75 * dv * dv * p5
     return Jet2(
         value=n * w,
         du=n_u * w + n * w_u,
