@@ -1,11 +1,11 @@
 """Bivariate polynomials over exact (int/Fraction) or float coefficients.
 
 The exact output of a surface: ``Surface.fields``, ``Surface.extras`` and
-``graph_potential`` are BiPolys in (u, v), built on request, and the
-closedness check and the integration of the potential work on their
-coefficients.  Exactness is preserved whenever the inputs are exact.  Float
-evaluation of a surface does not go through this module; surfaces.py
-evaluates fields from the univariate curve data.
+``graph_potential`` are BiPolys in (u, v), built on request by the surfaces
+module's closed forms from ``expand_planar_poly`` of F, G, F', G' and K.
+Exactness is preserved whenever the inputs are exact.  Float evaluation of a
+surface does not go through this module; surfaces.py evaluates fields from
+the univariate curve data.
 
 Exact products convolve integer numerators over a common denominator and
 divide once per output term, rather than multiplying Fractions term by term.
@@ -277,19 +277,16 @@ def _numerators(c):
 def expand_planar_poly(poly):
     """Expand a ParaPoly/ComplexPoly into its two real bivariate components.
 
-    Returns (real_part, unit_part) as BiPoly in (u, v), using the ring's own
-    unit square: (R + unit*I)(u + unit*v) accumulated iteratively, so exact
-    coefficients give exact expansions.
+    Returns (real_part, unit_part) as BiPoly in (u, v), written directly from
+    the binomial terms C(k, j) u**(k-j) (e v)**j of z**k with
+    e**j = s**(j//2) e**(j%2), where (a + e b) e = s b + e a.  Each coefficient
+    is one product with an integer, so exact coefficients stay exact.
     """
     s = poly.SCALAR.UNIT_SQ
-    re_acc = BiPoly()
-    im_acc = BiPoly()
-    # powers of z: start with z^0 = 1
-    pow_re, pow_im = BiPoly.constant(1), BiPoly()
-    u, v = BiPoly.var_u(), BiPoly.var_v()
+    re, im = {}, {}
     for k, c in enumerate(poly.coeffs):
-        if k > 0:
-            pow_re, pow_im = pow_re * u + s * (pow_im * v), pow_re * v + pow_im * u
-        re_acc = re_acc + c.re * pow_re + s * (c.im * pow_im)
-        im_acc = im_acc + c.re * pow_im + c.im * pow_re
-    return re_acc, im_acc
+        for j in range(k + 1):
+            a, b = (s * c.im, c.re) if j % 2 else (c.re, c.im)
+            w = math.comb(k, j) * s ** (j // 2)
+            re[k - j, j], im[k - j, j] = a * w, b * w
+    return BiPoly(re), BiPoly(im)

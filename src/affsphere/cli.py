@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 verification failure, 2 input error (a file that does
 not parse, non-finite coefficients or exact ones beyond float range included,
 a curve whose surface cannot be compiled, or a curve too large for float
 evaluation on the domain), 3 invalid arguments (domain, probe, resolution,
-suite or mode names; non-finite domain bounds and probes included).
+suite or mode names; non-finite domain bounds and probes included; an --out
+path that cannot be opened for writing).
 
 Float limit of synth, classify and verify: B = 2 c (d + 1) d^2 r^d <= 1e75, with
 c = max(1, largest |coefficient component|), d >= 1 the degree and
@@ -151,8 +152,10 @@ def cmd_synth(args) -> int:
     if args.out:
         io.write_grid(grid, args.out, fmt)
         sys.stderr.write(f"wrote {nu}x{nv} {fmt} grid to {args.out}\n")
-    else:
+    elif fmt == "json":
         _emit(io.grid_to_json(grid), None)
+    else:
+        io.write_grid(grid, sys.stdout, fmt)
     return 0
 
 
@@ -314,7 +317,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except io.CurveParseError as exc:
         return _fail(2, f"input error: {exc}")
-    except InvalidDomain as exc:
+    except (InvalidDomain, io.UnwritableOutput) as exc:
         return _fail(3, f"invalid arguments: {exc}")
 
 

@@ -17,6 +17,7 @@ each line.  The JSON grid is one ``json.dump`` of nested lists.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from itertools import repeat
 
 import numpy as np
@@ -32,6 +33,25 @@ SIGNATURES = tuple(_TYPES)
 class CurveParseError(ValueError):
     """Malformed curve input: JSON schema, coefficient syntax or degree cap, or a
     curve whose surface cannot be compiled (raised by the CLI)."""
+
+
+class UnwritableOutput(OSError):
+    """An output path that cannot be opened for writing."""
+
+
+@contextmanager
+def _output(out):
+    """Text stream for a writer: out itself when it has a write method, else
+    the file at path out, opened for writing and closed afterwards."""
+    if hasattr(out, "write"):
+        yield out
+        return
+    try:
+        fh = open(out, "w")
+    except OSError as exc:
+        raise UnwritableOutput(f"cannot write {out}: {exc.strerror or exc}") from exc
+    with fh:
+        yield fh
 
 
 def poly_to_pairs(poly):
@@ -103,7 +123,7 @@ def load_curve(path) -> ParaCurve:
 
 
 def save_curve(curve, path):
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         json.dump(curve_to_json(curve), fh, indent=2)
         fh.write("\n")
 
@@ -164,7 +184,7 @@ def load_waves(path):
 
 
 def save_waves(u1, v1, u2, v2, path):
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         json.dump(waves_to_json(u1, v1, u2, v2), fh, indent=2)
         fh.write("\n")
 
@@ -173,11 +193,12 @@ def save_waves(u1, v1, u2, v2, path):
 
 
 def write_obj(grid: SurfaceGrid, path):
-    """Wavefront OBJ: row-major vertices, quad faces between grid neighbours."""
+    """Wavefront OBJ to a path or text stream: row-major vertices, quad faces
+    between grid neighbours."""
     nu, nv = grid.shape
     vertices, faces = "v %.9g %.9g %.9g\n" * nv, "f %d %d %d %d\n" * (nv - 1)
     ids = np.arange(1, nv)  # 1-based ids of the first row's vertices but its last
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         for i in range(nu):
             rows = np.column_stack([grid.x1[i], grid.x2[i], grid.phi[i]])
             fh.write(vertices % tuple(rows.ravel().tolist()))
@@ -187,10 +208,11 @@ def write_obj(grid: SurfaceGrid, path):
 
 
 def write_csv(grid: SurfaceGrid, path):
-    """CSV with columns u,v,x1,x2,phi,n1,n2,lambda at full float precision."""
+    """CSV to a path or text stream, columns u,v,x1,x2,phi,n1,n2,lambda at full
+    float precision."""
     line = ",".join(["%.17g"] * 8) + "\n"
     v = grid.v_axis.tolist()
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         fh.write("u,v,x1,x2,phi,n1,n2,lambda\n")
         for i, u in enumerate(grid.u_axis.tolist()):
             fields = (f[i].tolist() for f in (grid.x1, grid.x2, grid.phi, grid.n1, grid.n2, grid.density))
@@ -221,7 +243,7 @@ def write_grid(grid: SurfaceGrid, path, fmt):
     elif fmt == "csv":
         write_csv(grid, path)
     elif fmt == "json":
-        with open(path, "w") as fh:
+        with _output(path) as fh:
             json.dump(grid_to_json(grid), fh)
             fh.write("\n")
     else:
@@ -229,7 +251,7 @@ def write_grid(grid: SurfaceGrid, path, fmt):
 
 
 def write_json_report(obj, path):
-    with open(path, "w") as fh:
+    with _output(path) as fh:
         json.dump(obj, fh, indent=2, default=_coerce_json)
         fh.write("\n")
 

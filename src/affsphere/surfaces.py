@@ -8,8 +8,8 @@ e**2 = s, gives
 A para-holomorphic pair (s = +1) gives the indefinite surface x = F - conj(G),
 n = conj(F) + G; a holomorphic pair (s = -1) gives the locally strongly convex
 one x = conj(F) + G, n = conj(F) - G.  In both signatures the conormal
-(n1, n2, 1) annihilates the tangent plane, so the same closed one-form
--<n, dx> integrates to the potential, normalized to vanish at the origin.
+(n1, n2, 1) annihilates the tangent plane, so the one-form -<n, dx> is closed
+and phi is its potential, normalized to vanish at the origin.
 
 Every field is a short closed form in F, G, their derivatives and
 antiderivatives, with z = u + e v:
@@ -25,7 +25,8 @@ coefficient vectors of these polynomials in float and evaluates fields from
 them: points by Horner's rule in the planar ring, with partials from
 d/du P = P' and d/dv P = e P'; grids from dense (u, v) tables.  The exact
 bivariate polynomials (``Surface.fields``, ``Surface.extras``,
-``graph_potential``) are built only when first asked for.
+``graph_potential``) are built only when first asked for, from these same
+formulas.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -346,10 +348,7 @@ class Surface:
         F, dF, d2F, G, dG, d2G, K, dK, d2K = (self._eval(k, u, v) for k in range(9))
         f = _planar_partials(*(_re_im(w, s) for w in (F, dF, d2F)), s)
         g = _planar_partials(*(_re_im(w, s) for w in (G, dG, d2G)), s)
-        x1 = tuple(a[0] - s * b[0] for a, b in zip(f, g))
-        x2 = tuple(s * a[1] + b[1] for a, b in zip(f, g))
-        n1 = tuple(a[0] + s * b[0] for a, b in zip(f, g))
-        n2 = tuple(s * b[1] - a[1] for a, b in zip(f, g))
+        x1, x2, n1, n2 = zip(*(_representation(*a, *b, s) for a, b in zip(f, g)))
         # phi's partials from its closed form rather than from -<n, dx>,
         # whose products cancel where one null component dominates
         mod = [
@@ -456,10 +455,8 @@ class Surface:
         mod_diff = _mod_diff(ring["G"], ring["F"], s, _mul2d)
         phi = _combine((0.5, mod_diff), (-s, _planar_tables(p["K"], s)[0]))
         phi[0, 0] = 0.0
-        return {
-            "x1": f1 - s * g1, "x2": s * f2 + g2, "phi": phi,
-            "n1": f1 + s * g1, "n2": s * g2 - f2, "density": density,
-        }
+        x1, x2, n1, n2 = _representation(f1, f2, g1, g2, s)
+        return {"x1": x1, "x2": x2, "phi": phi, "n1": n1, "n2": n2, "density": density}
 
 
 # -- float kernel --------------------------------------------------------------
@@ -502,6 +499,11 @@ def _ring_coords(re, im, s):
     nearly equal and re**2 - im**2 cancels; alpha beta does not.
     """
     return (re, im) if s < 0 else (re + im, re - im)
+
+
+def _representation(f1, f2, g1, g2, s):
+    """(x1, x2, n1, n2) from the components of F and G: numbers, arrays or BiPolys."""
+    return f1 - s * g1, s * f2 + g2, f1 + s * g1, s * g2 - f2
 
 
 def _re_im(w, s):
@@ -683,28 +685,23 @@ def _combine(*terms):
 
 
 def _exact_fields(curve):
-    """(fields, extras) as BiPolys from the bivariate expansion of F and G."""
+    """(fields, extras) as BiPolys: the module docstring's closed forms on the
+    expansions of F, G, F', G' and K, with four bivariate products at any degree.
+    Fraction(1, 2) keeps exact coefficients exact and halves float ones as 0.5 c.
+    """
     s = curve.unit_sq
+    dF, dG = curve.F.derivative(), curve.G.derivative()
     f1, f2 = expand_planar_poly(curve.F)
     g1, g2 = expand_planar_poly(curve.G)
-    f1u, f2u = expand_planar_poly(curve.F.derivative())
-    g1u, g2u = expand_planar_poly(curve.G.derivative())
-
-    x1 = f1 - s * g1
-    x2 = s * f2 + g2
-    n1 = f1 + s * g1
-    n2 = s * g2 - f2
-
-    a = -(n1 * x1.partial_u() + n2 * x2.partial_u())
-    b = -(n1 * x1.partial_v() + n2 * x2.partial_v())
-    _require_closed(a, b)
-    phi = _integrate_closed(a, b)
-
-    density = s * (f1u * f1u - s * (f2u * f2u) - (g1u * g1u - s * (g2u * g2u)))
-    fields = {
-        "x1": x1, "x2": x2, "phi": phi, "n1": n1, "n2": n2,
-        "density": density,
-    }
+    f1u, f2u = expand_planar_poly(dF)
+    g1u, g2u = expand_planar_poly(dG)
+    k1, _ = expand_planar_poly((curve.G * dF - curve.F * dG).antiderivative())
+    x1, x2, n1, n2 = _representation(f1, f2, g1, g2, s)
+    phi = Fraction(1, 2) * _mod_diff(_ring_coords(g1, g2, s), _ring_coords(f1, f2, s), s)
+    phi = phi - s * k1
+    phi = phi - phi.coeff(0, 0)
+    density = s * _mod_diff(_ring_coords(f1u, f2u, s), _ring_coords(g1u, g2u, s), s)
+    fields = {"x1": x1, "x2": x2, "phi": phi, "n1": n1, "n2": n2, "density": density}
     extras = {"f1u": f1u, "f2u": f2u, "g1u": g1u, "g2u": g2u}
     return fields, extras
 
@@ -712,6 +709,7 @@ def _exact_fields(curve):
 def _require_closed(a, b):
     """Abort unless the one-form a du + b dv is closed (a_v = b_u).
 
+    Nothing in the exact build calls it, as phi comes from its closed form.
     Float rounding is judged against the terms being compared, a_v and b_u:
     differentiation multiplies coefficients by up to the degree, so the
     sizes of a and b understate it at high degree.
@@ -727,16 +725,6 @@ def _require_closed(a, b):
         raise ClosednessViolation("potential one-form is not closed")
 
 
-def _integrate_closed(a, b):
-    """Potential with partials (a, b) and value 0 at the origin.
-
-    phi(u, v) = Int_0^u a(s, 0) ds + Int_0^v b(u, t) dt; closedness makes the
-    u-partial come out right.
-    """
-    a_on_axis = BiPoly({(i, 0): c for i, c in enumerate(a.restrict_v(0)) if c != 0})
-    return a_on_axis.antiderivative_u() + b.antiderivative_v()
-
-
 @lru_cache(maxsize=128)
 def _compiled(curve) -> Surface:
     return Surface(curve)
@@ -750,8 +738,8 @@ def compile_surface(curve) -> Surface:
 def graph_potential(curve) -> BiPoly:
     """The exact potential (third coordinate) polynomial, gauge phi(0,0) = 0.
 
-    phi = -Int <n, dx> in both signatures, integrated after an exact
-    closedness check of the one-form; built on the first request.
+    phi = -Int <n, dx> in both signatures, taken from its closed form
+    1/2 (|G|^2 - |F|^2) - s Re K; built on the first request.
     """
     return compile_surface(curve).fields["phi"]
 
