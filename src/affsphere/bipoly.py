@@ -5,7 +5,8 @@ The exact output of a surface: ``Surface.fields``, ``Surface.extras`` and
 module's closed forms from ``expand_planar_poly`` of F, G, F', G' and K.
 Exactness is preserved whenever the inputs are exact.  Float evaluation of a
 surface does not go through this module; surfaces.py evaluates fields from
-the univariate curve data.
+the univariate curve data.  A BiPoly evaluates float points and arrays alike
+with numpy's polyval2d on one dense float table, and exact points exactly.
 
 Exact products convolve integer numerators over a common denominator and
 divide once per output term, rather than multiplying Fractions term by term.
@@ -21,13 +22,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from .paracomplex import is_exact
+from .paracomplex import is_exact, is_real
 
 
 class BiPoly:
     """Polynomial sum of c[i,j] * u**i * v**j, held as a zero-free dict."""
 
-    __slots__ = ("c", "_dense", "_rows")
+    __slots__ = ("c", "_dense")
 
     def __init__(self, coeffs=None):
         c = {}
@@ -37,7 +38,6 @@ class BiPoly:
                     c[(int(i), int(j))] = val
         self.c = c
         self._dense = None
-        self._rows = None
 
     # -- constructors -------------------------------------------------
 
@@ -91,7 +91,7 @@ class BiPoly:
                     k = (i1 + i2, j1 + j2)
                     out[k] = out.get(k, 0) + a * b
             return BiPoly(out)
-        if self._is_scalar(other):
+        if is_real(other):
             return BiPoly({k: v * other for k, v in self.c.items()})
         return NotImplemented
 
@@ -123,13 +123,9 @@ class BiPoly:
     def _coerce(self, other):
         if isinstance(other, BiPoly):
             return other
-        if self._is_scalar(other):
+        if is_real(other):
             return BiPoly.constant(other)
         return NotImplemented
-
-    @staticmethod
-    def _is_scalar(x):
-        return isinstance(x, (int, float, Fraction)) and not isinstance(x, bool)
 
     def __eq__(self, other):
         if not isinstance(other, BiPoly):
@@ -177,12 +173,17 @@ class BiPoly:
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, u, v):
+        """Value at (u, v): numpy's polyval2d for arrays and for float points,
+        the exact sum of terms otherwise."""
         if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
             return np.polynomial.polynomial.polyval2d(
                 np.asarray(u), np.asarray(v), self._dense_array()
             )
         if isinstance(u, float) or isinstance(v, float):
-            return self._eval_float(float(u), float(v))
+            # a Python float, silent on overflow and on inf/nan points as float arithmetic is
+            with np.errstate(all="ignore"):
+                value = np.polynomial.polynomial.polyval2d(float(u), float(v), self._dense_array())
+            return float(value)
         acc = 0
         for (i, j), val in self.c.items():
             acc = acc + val * u**i * v**j
@@ -208,23 +209,6 @@ class BiPoly:
                 dense[i, j] = float(val)
             self._dense = dense
         return self._dense
-
-    def _eval_float(self, u, v):
-        """Scalar value with polyval2d's operation order, so results match it bit for bit.
-
-        Horner in u on every column of the dense table, then Horner in v;
-        each starts from c[-1] + x*0 as numpy's polyval does.
-        """
-        rows = self._rows
-        if rows is None:
-            rows = self._rows = self._dense_array().tolist()
-        col = [c + u * 0 for c in rows[-1]]
-        for row in rows[-2::-1]:
-            col = [c + acc * u for c, acc in zip(row, col)]
-        acc = col[-1] + v * 0
-        for c in col[-2::-1]:
-            acc = c + acc * v
-        return acc
 
     # -- inspection ------------------------------------------------------
 

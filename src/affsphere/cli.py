@@ -17,7 +17,6 @@ of those, so B^4 fits.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 
@@ -88,14 +87,6 @@ def _compile(curve, domain):
         raise io.CurveParseError(f"cannot compile the surface: {exc}") from exc
 
 
-def _emit(obj, out_path):
-    if out_path:
-        io.write_json_report(obj, out_path)
-    else:
-        json.dump(obj, sys.stdout, indent=2, default=io._coerce_json)
-        sys.stdout.write("\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="affsphere", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -149,13 +140,9 @@ def cmd_synth(args) -> int:
             fmt = "json"
     _compile(curve, domain)
     grid = sample_grid(curve, domain, (nu, nv))
+    io.write_grid(grid, args.out or sys.stdout, fmt)
     if args.out:
-        io.write_grid(grid, args.out, fmt)
         sys.stderr.write(f"wrote {nu}x{nv} {fmt} grid to {args.out}\n")
-    elif fmt == "json":
-        _emit(io.grid_to_json(grid), None)
-    else:
-        io.write_grid(grid, sys.stdout, fmt)
     return 0
 
 
@@ -170,7 +157,7 @@ def cmd_classify(args) -> int:
     _compile(curve, domain)
     probes = [_snap_probe(curve, domain, nu, _parse_probe(p)) for p in args.probe]
     report = singularities.classification_report(curve, domain, grid_res=nu, probes=probes)
-    _emit(report, args.out)
+    io.write_json_report(report, args.out or sys.stdout)
     return 0
 
 
@@ -197,6 +184,7 @@ def _snap_probe(curve, domain, res, p):
 def cmd_verify(args) -> int:
     curve = io.load_curve(args.curve)
     domain = Domain.parse(args.domain)
+    _parse_res(args.res)  # checked only: the graph patch of monge_ampere and lift is 20x20
     names = [s.strip() for s in args.suites.split(",") if s.strip()]
     unknown = [s for s in names if s not in SUITES]
     if unknown:
@@ -248,7 +236,7 @@ def cmd_verify(args) -> int:
         sys.stderr.write(
             f"suite {rep.name}: {status} (max {rep.max_abs:.3g} over {rep.points_checked} checks)\n"
         )
-    _emit([rep.as_dict() for rep in reports], args.out)
+    io.write_json_report([rep.as_dict() for rep in reports], args.out or sys.stdout)
     return 0 if all(rep.passed for rep in reports) else 1
 
 

@@ -11,7 +11,8 @@ Coefficient index is the power of z.  Rational entries are strings like
 
 The OBJ and CSV mesh writers stream one grid row at a time, so a write holds
 a few rows of text beside the grid: OBJ formats each row with one ``%``, CSV
-each line.  The JSON grid is one ``json.dump`` of nested lists.
+each line.  Every JSON output (curves, wave files, reports and the compact
+JSON grid, a file or stdout alike) goes through one writer, ``_write_json``.
 """
 
 from __future__ import annotations
@@ -123,9 +124,7 @@ def load_curve(path) -> ParaCurve:
 
 
 def save_curve(curve, path):
-    with _output(path) as fh:
-        json.dump(curve_to_json(curve), fh, indent=2)
-        fh.write("\n")
+    _write_json(curve_to_json(curve), path)
 
 
 def load_generator(path):
@@ -184,9 +183,7 @@ def load_waves(path):
 
 
 def save_waves(u1, v1, u2, v2, path):
-    with _output(path) as fh:
-        json.dump(waves_to_json(u1, v1, u2, v2), fh, indent=2)
-        fh.write("\n")
+    _write_json(waves_to_json(u1, v1, u2, v2), path)
 
 
 # -- mesh export ----------------------------------------------------------
@@ -243,16 +240,20 @@ def write_grid(grid: SurfaceGrid, path, fmt):
     elif fmt == "csv":
         write_csv(grid, path)
     elif fmt == "json":
-        with _output(path) as fh:
-            json.dump(grid_to_json(grid), fh)
-            fh.write("\n")
+        _write_json(grid_to_json(grid), path, indent=None)
     else:
         raise ValueError(f"unknown grid format {fmt!r}")
 
 
 def write_json_report(obj, path):
-    with _output(path) as fh:
-        json.dump(obj, fh, indent=2, default=_coerce_json)
+    _write_json(obj, path)
+
+
+def _write_json(obj, out, indent=2):
+    """The one JSON writer: obj and a newline to a path or text stream, numpy
+    scalars and arrays as their Python values."""
+    with _output(out) as fh:
+        json.dump(obj, fh, indent=indent, default=_coerce_json)
         fh.write("\n")
 
 

@@ -7,7 +7,9 @@ coefficient pairs) shares the implementation; it backs the locally strongly
 convex surface family.
 
 Coefficients may be exact (int / Fraction) or float; arithmetic preserves
-exactness whenever both operands are exact.
+exactness whenever both operands are exact.  The planar-ring polynomials
+(PlanarPoly) and their real null-coordinate halves (Poly1, from
+para_to_dalembert) share one dense-polynomial core, _DensePoly.
 """
 
 from __future__ import annotations
@@ -44,6 +46,10 @@ def scalar_to_text(x):
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+
+
+def is_real(x) -> bool:
+    return isinstance(x, (int, float, Fraction)) and not isinstance(x, bool)
 
 
 class PlanarScalar:
@@ -107,7 +113,7 @@ class PlanarScalar:
             if type(other) is not type(self):
                 return NotImplemented
             return other
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
+        if is_real(other):
             return self._make(other, 0)
         return NotImplemented
 
@@ -148,36 +154,25 @@ class ComplexScalar(PlanarScalar):
     UNIT_SQ = -1
 
 
-class PlanarPoly:
-    """Dense polynomial over a PlanarScalar subclass, coefficient of z**k at index k."""
+class _DensePoly:
+    """Dense polynomial, coefficient of t**k at index k, trailing zeros dropped.
+
+    The operations shared by Poly1 (real coefficients) and PlanarPoly
+    (planar-ring coefficients).  A subclass reads coefficients and points
+    through _ring; Horner starts from _ring(0), the ring's zero.
+    """
 
     __slots__ = ("coeffs",)
-    SCALAR = None  # set by subclasses
 
     def __init__(self, coeffs=()):
-        cleaned = []
-        for c in coeffs:
-            if isinstance(c, PlanarScalar):
-                if type(c) is not self.SCALAR:
-                    raise TypeError(f"expected {self.SCALAR.__name__} coefficients")
-                cleaned.append(c)
-            elif isinstance(c, (int, float, Fraction)) and not isinstance(c, bool):
-                cleaned.append(self.SCALAR(c, 0))
-            elif isinstance(c, (tuple, list)) and len(c) == 2:
-                cleaned.append(self.SCALAR(c[0], c[1]))
-            else:
-                raise TypeError(f"bad coefficient {c!r}")
-        while cleaned and cleaned[-1] == self.SCALAR(0, 0):
+        cleaned = [self._ring(c) for c in coeffs]
+        while cleaned and cleaned[-1] == 0:
             cleaned.pop()
         self.coeffs = tuple(cleaned)
 
-    @classmethod
-    def zero(cls):
-        return cls(())
-
-    @classmethod
-    def monomial(cls, k, coeff=1):
-        return cls([0] * k + [coeff])
+    def _ring(self, x):
+        """x, a coefficient or a point, as an element of the coefficient ring."""
+        return x
 
     @property
     def degree(self):
@@ -187,34 +182,15 @@ class PlanarPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_exact(self) -> bool:
-        return all(c.is_exact() for c in self.coeffs)
-
-    def __call__(self, z):
-        if isinstance(z, PlanarScalar):
-            if type(z) is not self.SCALAR:
-                raise TypeError(f"expected {self.SCALAR.__name__} argument")
-        elif isinstance(z, (tuple, list)) and len(z) == 2:
-            z = self.SCALAR(z[0], z[1])
-        else:
-            z = self.SCALAR(z, 0)
-        acc = self.SCALAR(0, 0)
+    def __call__(self, t):
+        t = self._ring(t)
+        acc = self._ring(0)
         for c in reversed(self.coeffs):
-            acc = acc * z + c
+            acc = acc * t + c
         return acc
 
     def derivative(self):
         return type(self)([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def antiderivative(self):
-        """Antiderivative vanishing at 0.  Exact coefficients stay exact."""
-        out = [self.SCALAR(0, 0)]
-        for k, c in enumerate(self.coeffs):
-            if c.is_exact():
-                out.append(self.SCALAR(Fraction(c.re, k + 1), Fraction(c.im, k + 1)))
-            else:
-                out.append(self.SCALAR(c.re / (k + 1), c.im / (k + 1)))
-        return type(self)(out)
 
     def __add__(self, other):
         if type(other) is not type(self):
@@ -236,17 +212,9 @@ class PlanarPoly:
         return type(self)([-c for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
+        if is_real(other):
             return type(self)([c * other for c in self.coeffs])
-        if isinstance(other, PlanarScalar) and type(other) is self.SCALAR:
-            return type(self)([c * other for c in self.coeffs])
-        if type(other) is not type(self):
-            return NotImplemented
-        out = [self.SCALAR(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
-        for i, a in enumerate(self.coeffs):
-            for k, b in enumerate(other.coeffs):
-                out[i + k] = out[i + k] + a * b
-        return type(self)(out)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -260,6 +228,63 @@ class PlanarPoly:
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)!r})"
+
+
+class PlanarPoly(_DensePoly):
+    """Dense polynomial over a PlanarScalar subclass, coefficient of z**k at index k.
+
+    Coefficients and points may be given as SCALAR values, real numbers or
+    (re, im) pairs.
+    """
+
+    __slots__ = ()
+    SCALAR = None  # set by subclasses
+
+    def _ring(self, x):
+        if isinstance(x, PlanarScalar):
+            if type(x) is not self.SCALAR:
+                raise TypeError(f"expected {self.SCALAR.__name__} values")
+            return x
+        if is_real(x):
+            return self.SCALAR(x, 0)
+        if isinstance(x, (tuple, list)) and len(x) == 2:
+            return self.SCALAR(x[0], x[1])
+        raise TypeError(f"cannot read {x!r} as a {self.SCALAR.__name__}")
+
+    @classmethod
+    def zero(cls):
+        return cls(())
+
+    @classmethod
+    def monomial(cls, k, coeff=1):
+        return cls([0] * k + [coeff])
+
+    def is_exact(self) -> bool:
+        return all(c.is_exact() for c in self.coeffs)
+
+    def antiderivative(self):
+        """Antiderivative vanishing at 0.  Exact coefficients stay exact."""
+        out = [self.SCALAR(0, 0)]
+        for k, c in enumerate(self.coeffs):
+            if c.is_exact():
+                out.append(self.SCALAR(Fraction(c.re, k + 1), Fraction(c.im, k + 1)))
+            else:
+                out.append(self.SCALAR(c.re / (k + 1), c.im / (k + 1)))
+        return type(self)(out)
+
+    def __mul__(self, other):
+        """Product with a real number, a SCALAR value or a polynomial of the same type."""
+        if type(other) is self.SCALAR:
+            return type(self)([c * other for c in self.coeffs])
+        if type(other) is not type(self):
+            return super().__mul__(other)
+        out = [self.SCALAR(0, 0)] * (len(self.coeffs) + len(other.coeffs) - 1 or 1)
+        for i, a in enumerate(self.coeffs):
+            for k, b in enumerate(other.coeffs):
+                out[i + k] = out[i + k] + a * b
+        return type(self)(out)
+
+    __rmul__ = __mul__
 
 
 class ParaPoly(PlanarPoly):
@@ -276,65 +301,10 @@ class ComplexPoly(PlanarPoly):
     SCALAR = ComplexScalar
 
 
-class Poly1:
+class Poly1(_DensePoly):
     """Univariate real polynomial (exact or float coefficients), lowest degree first."""
 
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cleaned = list(coeffs)
-        while cleaned and cleaned[-1] == 0:
-            cleaned.pop()
-        self.coeffs = tuple(cleaned)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
-
-    def derivative(self):
-        return Poly1([k * c for k, c in enumerate(self.coeffs)][1:])
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Poly1(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly1([-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)) and not isinstance(other, bool):
-            return Poly1([c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly1):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"Poly1({list(self.coeffs)!r})"
+    __slots__ = ()
 
     def real_roots(self):
         """Real roots (float), via the numpy companion matrix."""

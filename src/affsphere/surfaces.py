@@ -375,16 +375,31 @@ class Surface:
     # -- scalar fields ----------------------------------------------------
 
     def area_density(self, u, v):
-        """Density at (u, v): float for a float point, exact BiPoly value otherwise."""
+        """Density at (u, v): float for a float point, exact value otherwise."""
         if isinstance(u, float) or isinstance(v, float):
             return self._density(float(u), float(v))
-        return self.fields["density"](u, v)
+        return self._exact_density_jet(u, v)[0]
 
     def grad_density(self, u, v):
         if isinstance(u, float) or isinstance(v, float):
             return self.density_jet(float(u), float(v))[1:]
-        d = self.fields["density"]
-        return (d.partial_u()(u, v), d.partial_v()(u, v))
+        return self._exact_density_jet(u, v)[1:]
+
+    def _exact_density_jet(self, u, v):
+        """(density, d/du, d/dv) at an exact point, in the curve's ring at z = u + e v.
+
+        |P'|^2 has partials 2 Re(P'' conj P') and 2 s Im(P'' conj P'), as
+        d/du P' = P'' and d/dv P' = e P''.
+        """
+        s = self.curve.unit_sq
+        jets = []
+        for P in (self.curve.F, self.curve.G):
+            dP = P.derivative()
+            w = dP((u, v))
+            # a constant P' has int zero partials, as the zero BiPoly gives
+            t = dP.derivative()((u, v)) * w.conjugate() if dP.degree > 0 else P.SCALAR(0, 0)
+            jets.append((w.modulus(), 2 * t.re, 2 * s * t.im))
+        return tuple(s * (f - g) for f, g in zip(*jets))
 
     # -- jets --------------------------------------------------------------
 
