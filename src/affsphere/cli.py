@@ -173,7 +173,7 @@ def _snap_probe(curve, domain, res, p):
     tols = singularities.tolerances_for(curve, domain.radius)
     if abs(surf.area_density(*p)) <= tols.sing:
         return p
-    (q,), (ok,) = singularities._newton_project_rows(
+    (q,), (ok,), _ = singularities._newton_project_rows(
         surf, np.array([p], dtype=float), np.array([tols.sing]), np.array([cell])
     )
     if ok and np.hypot(q[0] - p[0], q[1] - p[1]) <= cell:

@@ -13,6 +13,12 @@ The OBJ and CSV mesh writers stream one grid row at a time, so a write holds
 a few rows of text beside the grid: OBJ formats each row with one ``%``, CSV
 each line.  Every JSON output (curves, wave files, reports and the compact
 JSON grid, a file or stdout alike) goes through one writer, ``_write_json``.
+
+Indented JSON (all but the grid) comes from ``_indented``: the bytes of
+``json.dump(obj, fh, indent=2, default=_coerce_json)``, the tests' oracle,
+without json's pure-Python encoder that yields and writes every token.
+Sibling dicts with one key sequence (report points, verify suites) fill
+one ``%`` template built for that key sequence and depth.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -251,9 +258,12 @@ def write_json_report(obj, path):
 
 def _write_json(obj, out, indent=2):
     """The one JSON writer: obj and a newline to a path or text stream, numpy
-    scalars and arrays as their Python values."""
+    scalars and arrays as their Python values; indent=None writes compact JSON."""
     with _output(out) as fh:
-        json.dump(obj, fh, indent=indent, default=_coerce_json)
+        if indent is None:
+            json.dump(obj, fh, default=_coerce_json)
+        else:
+            fh.write(_indented(obj, " " * indent))
         fh.write("\n")
 
 
@@ -263,3 +273,98 @@ def _coerce_json(val):
     if isinstance(val, np.ndarray):
         return val.tolist()
     raise TypeError(f"not JSON serializable: {type(val)}")
+
+
+# float.__repr__ of the floats json writes as tokens
+_FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x):
+    r = float.__repr__(x)
+    return _FLOAT_TOKENS.get(r, r)
+
+
+# JSON text of values of exactly these types; subclasses take _scalar
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii, float: _float_text, int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+}
+
+
+def _scalar(o):
+    """JSON text of a str, None, bool, int or float, None for other values;
+    a subclass (numpy's float64) takes the branch of json's first isinstance test."""
+    kind = next((k for k in (str, type(None), bool, int, float) if isinstance(o, k)), None)
+    return None if kind is None else _SCALAR_TEXT[kind](o)
+
+
+def _indented(obj, pad):
+    """json.dumps(obj, indent=len(pad), default=_coerce_json), as one string.
+
+    Siblings are written together (`texts`): values of one exact type by one
+    map, rows (more dicts with one sequence of string keys, or lists of one
+    length, than columns) by one %-template filled from their columns; keys
+    must be strings, as 1, 1.0 and True, or 0.0 and -0.0, are equal keys with
+    different text.  A circular structure, or one nested beyond the recursion
+    limit (json: RecursionError), raises json's ValueError."""
+    get = _SCALAR_TEXT.get
+
+    def text(o, depth):
+        write = get(type(o))
+        if write is not None:
+            return write(o)
+        if isinstance(o, dict) and o:
+            keys, values = zip(*o.items())
+            return _template(_key_names(keys), depth, pad, "{}") % tuple(texts(values, depth + 1))
+        if isinstance(o, (list, tuple)) and o:
+            return _template(["%s"] * len(o), depth, pad, "[]") % tuple(texts(o, depth + 1))
+        if isinstance(o, (list, tuple, dict)):
+            return "{}" if isinstance(o, dict) else "[]"
+        out = _scalar(o)
+        return text(_coerce_json(o), depth) if out is None else out
+
+    def texts(values, depth):
+        kinds = set(map(type, values))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind is float:
+            out = list(map(float.__repr__, values))
+            return out if _FLOAT_TOKENS.keys().isdisjoint(out) else [_FLOAT_TOKENS.get(r, r) for r in out]
+        if kind in _SCALAR_TEXT:
+            return list(map(_SCALAR_TEXT[kind], values))
+        template = None
+        if kind is dict and len(values) > len(values[0]):
+            keys = tuple(values[0])
+            if keys and all(isinstance(k, str) for k in keys) and all(tuple(x) == keys for x in values):
+                template, columns = _template(_key_names(keys), depth, pad, "{}"), zip(*[x.values() for x in values])
+        elif (kind is list or kind is tuple) and len(values) > len(values[0]):
+            n = len(values[0])
+            if n and all(len(x) == n for x in values):
+                template, columns = _template(["%s"] * n, depth, pad, "[]"), zip(*values)
+        if template is None:
+            return [w(x) if (w := get(type(x))) else text(x, depth) for x in values]
+        return [template % row for row in zip(*[texts(c, depth + 1) for c in columns])]
+
+    try:
+        return text(obj, 0)
+    except RecursionError:
+        raise ValueError("Circular reference detected") from None
+
+
+def _template(items, depth, pad, brackets):
+    """Text of a container of these items whose opening bracket is at this depth."""
+    inner = "\n" + pad * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad * depth + brackets[1]
+
+
+def _key_names(keys):
+    """'"key": %s' items of a dict template; a key that is not a string is
+    written as its JSON text, quoted, as json does."""
+    names = []
+    for key in keys:
+        if not isinstance(key, str):
+            text = _scalar(key)
+            if text is None:
+                raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+            key = text
+        names.append(encode_basestring_ascii(key).replace("%", "%%") + ": %s")
+    return names

@@ -13,7 +13,8 @@ stage once, on all rows that reach it: lift ranks from one stack of SVDs; the
 branch, frontal-not-front and degenerate masks; five-point windows marched
 by a masked Newton projection; the null fields along them; det(gamma', eta)
 and its stencil derivative; and the psi test on exact null lines.  A report
-thus costs a fixed number of kernel calls, not a number per traced node.
+makes one such call, on its nodes, swallowtail roots and probes together,
+so it costs a fixed number of kernel calls, not a number per traced node.
 `classify_point`, `ccr_psi` and `lift_rank` are one-row calls.
 
 Each primitive has one implementation that every stage shares, acting on
@@ -148,9 +149,10 @@ def _density_floats(surf, u, v):
     return surf.density_jet(float(u), float(v))
 
 
-def _level_tangent(surf, q):
-    """(unit rot(grad lam), |grad lam|) at the rows of q: tangents of the level sets of lam."""
-    _, gu, gv = surf.density_jet(q[..., 0], q[..., 1])
+def _level_tangent(jet):
+    """(unit rot(grad lam), |grad lam|), tangents of the level sets of lam, from
+    the density jets (lam, lam_u, lam_v) of rows of points."""
+    _, gu, gv = jet
     return _unit(np.stack([-gv, gu], axis=-1))
 
 
@@ -158,22 +160,25 @@ def _newton_project_rows(surf, q, tol, max_travel):
     """Nearest-point Newton iteration onto {lam = 0} from every row of q, with
     per-row tol and max_travel.
 
-    Returns (projected rows, ok).  A row is ok once |lam| <= tol, or after 60
-    steps when |lam| <= 100 tol; it fails where the gradient vanishes or the
-    iterate moves farther than max_travel from its start.  A row freezes as
-    soon as it is decided and is never evaluated after that, so each row
-    equals its one-row result bit for bit.
+    Returns (projected rows, ok, jet).  A row is ok once |lam| <= tol, or
+    after 60 steps when |lam| <= 100 tol; it fails where the gradient
+    vanishes or the iterate moves farther than max_travel from its start.
+    jet: (lam, lam_u, lam_v) at each ok row's projection, as density_jet
+    gave them there (other rows: meaningless).  A row freezes as soon as it
+    is decided, so each row equals its one-row result bit for bit.
     """
     start = q
     q = q.copy()
     ok = np.zeros(len(q), dtype=bool)
+    jet = np.zeros((3, len(q)))
     active = np.arange(len(q))
     for _ in range(60):
         if not active.size:
-            return q, ok
+            return q, ok, jet
         val, gu, gv = surf.density_jet(q[active, 0], q[active, 1])
         done = np.abs(val) <= tol[active]
         ok[active[done]] = True
+        jet[:, active[done]] = val[done], gu[done], gv[done]
         g2 = gu * gu + gv * gv
         moving = ~done & (g2 != 0.0)
         active, val, gu, gv, g2 = (x[moving] for x in (active, val, gu, gv, g2))
@@ -182,9 +187,9 @@ def _newton_project_rows(surf, q, tol, max_travel):
         near = ~(np.hypot(*(q[active] - start[active]).T) > max_travel[active])
         active = active[near]
     if active.size:
-        val, _, _ = surf.density_jet(q[active, 0], q[active, 1])
-        ok[active] = np.abs(val) <= 100 * tol[active]
-    return q, ok
+        jet[:, active] = surf.density_jet(q[active, 0], q[active, 1])
+        ok[active] = np.abs(jet[0, active]) <= 100 * tol[active]
+    return q, ok, jet
 
 
 # -- null directions --------------------------------------------------------
@@ -468,7 +473,7 @@ def _chain_segments(segments):
 
 def _polyline_tangents(surf, pts, tols):
     """Unit tangents along rot(grad lam), aligned with the walk direction."""
-    t, norm = _level_tangent(surf, pts)
+    t, norm = _level_tangent(surf.density_jet(pts[:, 0], pts[:, 1]))
     flags = norm <= tols.deg
     steps = np.concatenate([pts[1:] - pts[:-1], pts[-1:] - pts[-2:-1]])
     tangents = np.where(flags[:, None], _unit(steps)[0], _aligned(t, steps))
@@ -564,7 +569,7 @@ def _null_line_curves(curve, surf, domain, n_samples, tols):
             vs = us - c if kind == "difference" else c - us
             pts = np.column_stack([us, vs])
             tangents = np.tile(_NULL_LINE_DIRECTION[kind], (len(pts), 1))
-            flags = _level_tangent(surf, pts)[1] <= tols.deg
+            flags = _level_tangent(surf.density_jet(us, vs))[1] <= tols.deg
             curves.append(
                 SingularCurve(
                     points=pts, tangents=tangents, degenerate_flags=flags,
@@ -666,9 +671,9 @@ def _march_windows(surf, p, tols, h):
     tol = np.maximum(1e-13, tols.sing * 1e-4)
     travel = 10 * h
     points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
-    q0, ok = _newton_project_rows(surf, p, tol, travel)
+    q0, ok, jet = _newton_project_rows(surf, p, tol, travel)
     rows = np.flatnonzero(ok)
-    t0, norm = _level_tangent(surf, q0[rows])
+    t0, norm = _level_tangent(jet[:, rows])
     smooth = ~(norm <= tols.deg[rows])
     rows, t0 = rows[smooth], t0[smooth]
     points[rows, 2], dirs[rows, 2] = q0[rows], t0
@@ -676,9 +681,9 @@ def _march_windows(surf, p, tols, h):
     for sign, slots in ((1.0, (3, 4)), (-1.0, (1, 0))):
         live, q, t = rows, q0[rows], sign * t0
         for k in slots:
-            q, ok = _newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
+            q, ok, jet = _newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
             live, q, t = live[ok], q[ok], t[ok]
-            t_next, norm = _level_tangent(surf, q)
+            t_next, norm = _level_tangent(jet[:, ok])
             smooth = ~(norm <= tols.deg[live])
             live, q, t = live[smooth], q[smooth], _aligned(t_next[smooth], t[smooth])
             points[live, k], dirs[live, k] = q, sign * t
@@ -939,7 +944,7 @@ def _frame_dets(surf, q, ref_dir, ref_eta):
     """(det(gamma', eta), gamma', eta, defined) at the rows of q, the level tangent
     gamma' and null direction eta `_aligned` with the reference rows; det is
     undefined where either vector vanishes."""
-    t, t_norm = _level_tangent(surf, q)
+    t, t_norm = _level_tangent(surf.density_jet(q[:, 0], q[:, 1]))
     eta, eta_norm = _null_direction(_chart_matrix(surf, q[:, 0], q[:, 1]))
     t, eta = _aligned(t, ref_dir), _aligned(eta, ref_eta)
     return _det2(t, eta), t, eta, (t_norm != 0.0) & (eta_norm != 0.0)
@@ -970,24 +975,20 @@ def _node_dets(surf, pts, tangents, degenerate):
 def _project_or_keep(surf, curve, q):
     """Rows of q Newton-projected onto {lam = 0}; a row whose projection fails stays put."""
     tol = np.maximum(1e-13, _point_tols(curve, q).sing * 1e-4)
-    proj, ok = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
+    proj, ok, _ = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
     return np.where(ok[:, None], proj, q)
 
 
-def locate_swallowtails(curve, traced):
-    """Zeros of det(gamma', eta) along traced curves that classify as swallowtails.
+def _swallowtail_roots(surf, curve, traced):
+    """(n, 2) zeros of det(gamma', eta) along the traced curves, in bracket order.
 
     Every pair of consecutive nodes where det changes sign is a bracket, and
     all brackets of all curves are solved in one lockstep `_brent` call,
     det evaluated at the Newton projections of the points of the segment.
-    The roots are classified in one `_classify_points` call.  A root without
-    a window is dropped, as a traced node without one is, and a root within
-    1e-6 of a swallowtail found before it is skipped.
     """
-    surf = compile_surface(curve)
     curves = [sc for sc in traced if sc.kind == "traced"]
     if not curves:
-        return []
+        return np.zeros((0, 2))
     pts, tangents, flags = (np.concatenate([getattr(sc, name) for sc in curves])
                             for name in ("points", "tangents", "degenerate_flags"))
     dets = _node_dets(surf, pts, tangents, flags)
@@ -999,7 +1000,7 @@ def locate_swallowtails(curve, traced):
     bracket[ends[~np.array([sc.closed for sc in curves])] - 1] = False  # open curves have no last bracket
     k = np.flatnonzero(bracket)
     if not k.size:
-        return []
+        return np.zeros((0, 2))
     pa, pb, tangent = pts[k], pts[k_next[k]], tangents[k]
     # constant references keep the sign of det continuous while
     # `_brent` samples a bracket out of order
@@ -1016,14 +1017,26 @@ def locate_swallowtails(curve, traced):
     s = _brent(det_along, np.zeros(len(pa)), np.ones(len(pa)), fa, fb, xtol=1e-13)
     hit = ~np.isnan(s)
     s, pa, pb = s[hit], pa[hit], pb[hit]
-    roots = _project_or_keep(surf, curve, (1 - s)[:, None] * pa + s[:, None] * pb)
+    return _project_or_keep(surf, curve, (1 - s)[:, None] * pa + s[:, None] * pb)
+
+
+def _swallowtails(roots, classes):
+    """(point, class) of the roots classed as swallowtails, in root order, but
+    a root within 1e-6 of one kept before it; a root without a window is dropped."""
     found = []
-    for q, cls in zip(roots, _classify_points(curve, roots)):
+    for q, cls in zip(roots, classes):
         if cls is None or cls.tag != TAG_SWALLOWTAIL:
             continue
         if not any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
             found.append((q, cls))
     return found
+
+
+def locate_swallowtails(curve, traced):
+    """Zeros of det(gamma', eta) along traced curves that classify as swallowtails:
+    `_swallowtail_roots`, one `_classify_points` call, then `_swallowtails`."""
+    roots = _swallowtail_roots(compile_surface(curve), curve, traced)
+    return _swallowtails(roots, _classify_points(curve, roots))
 
 
 # -- reports -----------------------------------------------------------------
@@ -1032,14 +1045,17 @@ def locate_swallowtails(curve, traced):
 def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict:
     """Trace plus classification at curve nodes, located swallowtails, probes.
 
-    The nodes and the probes are classified in one `_classify_points` call.
+    The nodes, the swallowtail roots and the probes are classified in one
+    `_classify_points` call; each row equals its one-row result, so the
+    entries are those of `classify_point` and `locate_swallowtails`.
     """
     from .io import curve_to_json
 
     traced = trace_singular_curves(curve, domain, grid_res)
     probes = list(probes)
-    nodes = [q for sc in traced for q in sc.points]
-    classes = _classify_points(curve, nodes + probes)
+    nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
+    roots = _swallowtail_roots(compile_surface(curve), curve, traced)
+    classes = _classify_points(curve, np.concatenate([nodes, roots, _rows(probes)]))
     points = []
 
     def add(p, cls):
@@ -1057,9 +1073,9 @@ def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict
     for q, cls in zip(nodes, classes):
         if cls is not None:
             add(q, cls)
-    for q, cls in locate_swallowtails(curve, traced):
+    for q, cls in _swallowtails(roots, classes[len(nodes):len(nodes) + len(roots)]):
         add(q, cls)
-    for q, cls in zip(probes, classes[len(nodes):]):
+    for q, cls in zip(probes, classes[len(nodes) + len(roots):]):
         if cls is None:
             cls = SingularClass(
                 tag=TAG_FRONT_UNCLASSIFIED,

@@ -209,6 +209,11 @@ FIELD_NAMES = ("x1", "x2", "phi", "n1", "n2")
 _SHORTHANDS = {"negate_n1": ("n1", -1), "negate_n2": ("n2", -1), "scale_phi": ("phi", 2)}
 # nodes per block of density_grid, which bounds its temporaries
 _BLOCK_NODES = 1 << 16
+# Most entries, over all lists, that Surface._eval stacks.  One pass pays
+# numpy's per-call costs once, but passes per list were faster (measured) on
+# two lists, and past about 5000-6500 entries, where stacked temporaries
+# outgrow the cache.
+_STACK_ENTRIES = 6144
 
 
 class Surface:
@@ -217,8 +222,10 @@ class Surface:
     The float kernel holds the coefficient vectors of F, G, F', G', F'', G''
     and K = Int (G dF - F dG).  Points (``field_jets``, ``density_jet``,
     ``chart_derivatives`` and the Jet2 views) use planar Horner on Python
-    floats, and ``field_jets`` runs the same operations on arrays of points;
-    grids use dense coefficient tables.  The exact bivariate fields
+    floats.  On small arrays of points ``density_jet`` and ``field_jets``
+    make one Horner pass over a table stacking the lists they need
+    (``_eval``), bit for bit the per-point values (``_horner``); grids use
+    dense coefficient tables.  The exact bivariate fields
     x1, x2, phi, n1, n2, density (``fields``) and the component derivatives
     f1u, f2u, g1u, g2u (``extras``) are BiPolys built on first access, exact
     whenever the curve is exact.
@@ -229,6 +236,7 @@ class Surface:
         self.signature = curve.signature
         self.unit_sq = float(curve.unit_sq)
         self._polys, self._horner, self._phi0 = self._build(curve)
+        self._tables = {}  # Horner list indices -> stacked table (_stacked)
         # field name -> factor (number) or replacement (BiPoly)
         self._patches = dict(_patches or {})
 
@@ -316,36 +324,51 @@ class Surface:
 
     # -- point kernel -------------------------------------------------------
 
-    def _eval(self, k, u, v):
-        """Ring coordinates of Horner list k at (u, v)."""
-        return _horner(self._horner[k], u, v, self.unit_sq)
+    def _eval(self, ks, u, v):
+        """Ring coordinates of the Horner lists ks at (u, v), one pair per list: one
+        pass over their `_stacked` table on arrays (see _STACK_ENTRIES), else a pass per list."""
+        s = self.unit_sq
+        if isinstance(u, float) and isinstance(v, float) or not (
+                2 < len(ks) and len(ks) * np.broadcast(u, v).size <= _STACK_ENTRIES):
+            return [_horner(self._horner[k], u, v, s) for k in ks]
+        table = self._stacked(ks)
+        x, y = _horner(table.reshape(table.shape + (1,) * max(np.ndim(u), np.ndim(v))), u, v, s)
+        return list(zip(x, y))
 
-    def _parts(self, k, u, v):
-        """(re, im) components of Horner list k at (u, v)."""
-        return _re_im(self._eval(k, u, v), self.unit_sq)
+    def _stacked(self, ks):
+        """(steps, 2, len(ks)) table of the Horner lists ks, built on first use:
+        highest degree first, shorter lists padded with zeros at the top.  See
+        `_horner` for why each entry still equals its list's own Horner pass."""
+        if ks not in self._tables:
+            lists = [self._horner[k] for k in ks]
+            table = self._tables[ks] = np.zeros((max(map(len, lists)), 2, len(ks)))
+            for j, cs in enumerate(lists):
+                table[len(table) - len(cs):, :, j] = cs
+        return self._tables[ks]
 
     def _density(self, u, v):
         """s (|F'|^2 - |G'|^2) at scalars or broadcasting arrays, same operations for both."""
         s = self.unit_sq
-        return s * _mod_diff(self._eval(1, u, v), self._eval(4, u, v), s)
+        return s * _mod_diff(*self._eval((1, 4), u, v), s)
 
     def density_jet(self, u, v):
-        """(density, d/du, d/dv) at a float point."""
+        """(density, d/du, d/dv) at a float point or at arrays of points."""
         s = self.unit_sq
-        dF, dG = self._eval(1, u, v), self._eval(4, u, v)
-        f_u, f_v = _mod_gradient(dF, self._eval(2, u, v), s)
-        g_u, g_v = _mod_gradient(dG, self._eval(5, u, v), s)
+        dF, d2F, dG, d2G = self._eval((1, 2, 4, 5), u, v)
+        f_u, f_v = _mod_gradient(dF, d2F, s)
+        g_u, g_v = _mod_gradient(dG, d2G, s)
         return s * _mod_diff(dF, dG, s), s * (f_u - g_u), s * (f_v - g_v)
 
     def chart_derivatives(self, u, v):
-        """(f1u, f2u, g1u, g2u): the components of F' and G' at a float point."""
-        return (*self._parts(1, u, v), *self._parts(4, u, v))
+        """(f1u, f2u, g1u, g2u): the components of F' and G' at a float point or arrays of points."""
+        dF, dG = self._eval((1, 4), u, v)
+        return (*_re_im(dF, self.unit_sq), *_re_im(dG, self.unit_sq))
 
     def field_jets(self, u, v) -> FieldJets:
         """Jets of x1, x2, phi, n1, n2 at a float point, or at equal-length float
         arrays bit for bit as point by point, patches applied."""
         s = self.unit_sq
-        F, dF, d2F, G, dG, d2G, K, dK, d2K = (self._eval(k, u, v) for k in range(9))
+        F, dF, d2F, G, dG, d2G, K, dK, d2K = self._eval(tuple(range(9)), u, v)
         f = _planar_partials(*(_re_im(w, s) for w in (F, dF, d2F)), s)
         g = _planar_partials(*(_re_im(w, s) for w in (G, dG, d2G)), s)
         x1, x2, n1, n2 = zip(*(_representation(*a, *b, s) for a, b in zip(f, g)))
@@ -535,7 +558,12 @@ def _horner(cs, u, v, s):
     s = -1 this is complex Horner on (re, im); for s = +1 it is real Horner
     of alpha at u + v and of beta at u - v.  Python floats and broadcasting
     numpy arrays run the same IEEE operations, so an array entry equals the
-    scalar value at that node bit for bit.
+    scalar value at that node bit for bit.  cs may also be a stacked table
+    (`Surface._stacked`) whose rows hold several polynomials' coefficients,
+    zero-padded at the top: at a finite point a padded step gives
+    0.0 * a + 0.0 = +0.0 (for s = -1, a sum of signed zeros plus 0.0 = +0.0),
+    the value Horner starts from, so each polynomial's entries still equal its own
+    pass; a non-finite point gives NaN at the first step either way.
     """
     x = y = 0.0
     if s > 0:
