@@ -279,15 +279,19 @@ def _coerce_json(val):
 _FLOAT_TOKENS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _float_text(x):
-    r = float.__repr__(x)
-    return _FLOAT_TOKENS.get(r, r)
+def _float_texts(xs):
+    """JSON texts of floats: float.__repr__, json's tokens for nan and +-inf."""
+    out = list(map(float.__repr__, xs))
+    return out if _FLOAT_TOKENS.keys().isdisjoint(out) else [_FLOAT_TOKENS.get(r, r) for r in out]
 
 
-# JSON text of values of exactly these types; subclasses take _scalar
-_SCALAR_TEXT = {
-    str: encode_basestring_ascii, float: _float_text, int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__, type(None): {None: "null"}.__getitem__,
+# JSON texts of a sequence of values of exactly one of these types; subclasses take _scalar
+_TEXTS = {
+    str: lambda xs: list(map(encode_basestring_ascii, xs)),
+    float: _float_texts,
+    int: lambda xs: list(map(int.__repr__, xs)),
+    bool: lambda xs: ["true" if x else "false" for x in xs],
+    type(None): lambda xs: ["null"] * len(xs),
 }
 
 
@@ -295,42 +299,25 @@ def _scalar(o):
     """JSON text of a str, None, bool, int or float, None for other values;
     a subclass (numpy's float64) takes the branch of json's first isinstance test."""
     kind = next((k for k in (str, type(None), bool, int, float) if isinstance(o, k)), None)
-    return None if kind is None else _SCALAR_TEXT[kind](o)
+    return None if kind is None else _TEXTS[kind]((o,))[0]
 
 
 def _indented(obj, pad):
     """json.dumps(obj, indent=len(pad), default=_coerce_json), as one string.
 
-    Siblings are written together (`texts`): values of one exact type by one
-    map, rows (more dicts with one sequence of string keys, or lists of one
-    length, than columns) by one %-template filled from their columns; keys
-    must be strings, as 1, 1.0 and True, or 0.0 and -0.0, are equal keys with
-    different text.  A circular structure, or one nested beyond the recursion
-    limit (json: RecursionError), raises json's ValueError."""
-    get = _SCALAR_TEXT.get
-
-    def text(o, depth):
-        write = get(type(o))
-        if write is not None:
-            return write(o)
-        if isinstance(o, dict) and o:
-            keys, values = zip(*o.items())
-            return _template(_key_names(keys), depth, pad, "{}") % tuple(texts(values, depth + 1))
-        if isinstance(o, (list, tuple)) and o:
-            return _template(["%s"] * len(o), depth, pad, "[]") % tuple(texts(o, depth + 1))
-        if isinstance(o, (list, tuple, dict)):
-            return "{}" if isinstance(o, dict) else "[]"
-        out = _scalar(o)
-        return text(_coerce_json(o), depth) if out is None else out
+    Siblings are written together (`texts`, one frame per nesting level, as
+    json's encoder): values of one exact type by one map, rows (more dicts
+    with one sequence of string keys, or lists of one length, than columns)
+    by one %-template filled from their columns; keys must be strings, as 1,
+    1.0 and True, or 0.0 and -0.0, are equal keys with different text.  A
+    structure nested too deeply raises RecursionError, at json's depth; a
+    circular one, which recurses to that limit, raises json's ValueError."""
 
     def texts(values, depth):
         kinds = set(map(type, values))
         kind = kinds.pop() if len(kinds) == 1 else None
-        if kind is float:
-            out = list(map(float.__repr__, values))
-            return out if _FLOAT_TOKENS.keys().isdisjoint(out) else [_FLOAT_TOKENS.get(r, r) for r in out]
-        if kind in _SCALAR_TEXT:
-            return list(map(_SCALAR_TEXT[kind], values))
+        if kind in _TEXTS:
+            return _TEXTS[kind](values)
         template = None
         if kind is dict and len(values) > len(values[0]):
             keys = tuple(values[0])
@@ -340,14 +327,48 @@ def _indented(obj, pad):
             n = len(values[0])
             if n and all(len(x) == n for x in values):
                 template, columns = _template(["%s"] * n, depth, pad, "[]"), zip(*values)
-        if template is None:
-            return [w(x) if (w := get(type(x))) else text(x, depth) for x in values]
-        return [template % row for row in zip(*[texts(c, depth + 1) for c in columns])]
+        if template is not None:
+            return [template % row for row in zip(*map(texts, columns, repeat(depth + 1)))]
+        out = []
+        for o in values:
+            write = _TEXTS.get(type(o))
+            if write is not None:
+                out.append(write((o,))[0])
+            elif isinstance(o, dict) and o:
+                keys, items = zip(*o.items())
+                out.append(_template(_key_names(keys), depth, pad, "{}") % tuple(texts(items, depth + 1)))
+            elif isinstance(o, (list, tuple)) and o:
+                out.append(_template(["%s"] * len(o), depth, pad, "[]") % tuple(texts(o, depth + 1)))
+            elif isinstance(o, (list, tuple, dict)):
+                out.append("{}" if isinstance(o, dict) else "[]")
+            else:
+                text = _scalar(o)
+                out.append(texts([_coerce_json(o)], depth)[0] if text is None else text)
+        return out
 
     try:
-        return text(obj, 0)
+        return texts([obj], 0)[0]
     except RecursionError:
-        raise ValueError("Circular reference detected") from None
+        if _circular(obj):
+            raise ValueError("Circular reference detected") from None
+        raise
+
+
+def _circular(obj):
+    """Whether a list, tuple or dict in obj contains itself: json's test, the
+    ids of the containers on the current path, on an explicit stack."""
+    path, stack = set(), [(obj, False)]
+    while stack:
+        o, leaving = stack.pop()
+        if leaving:
+            path.discard(id(o))
+        elif isinstance(o, (list, tuple, dict)):
+            if id(o) in path:
+                return True
+            path.add(id(o))
+            stack.append((o, True))
+            stack.extend((x, False) for x in (o.values() if isinstance(o, dict) else o))
+    return False
 
 
 def _template(items, depth, pad, brackets):

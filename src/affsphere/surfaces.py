@@ -209,11 +209,6 @@ FIELD_NAMES = ("x1", "x2", "phi", "n1", "n2")
 _SHORTHANDS = {"negate_n1": ("n1", -1), "negate_n2": ("n2", -1), "scale_phi": ("phi", 2)}
 # nodes per block of density_grid, which bounds its temporaries
 _BLOCK_NODES = 1 << 16
-# Most entries, over all lists, that Surface._eval stacks.  One pass pays
-# numpy's per-call costs once, but passes per list were faster (measured) on
-# two lists, and past about 5000-6500 entries, where stacked temporaries
-# outgrow the cache.
-_STACK_ENTRIES = 6144
 
 
 class Surface:
@@ -222,10 +217,9 @@ class Surface:
     The float kernel holds the coefficient vectors of F, G, F', G', F'', G''
     and K = Int (G dF - F dG).  Points (``field_jets``, ``density_jet``,
     ``chart_derivatives`` and the Jet2 views) use planar Horner on Python
-    floats.  On small arrays of points ``density_jet`` and ``field_jets``
-    make one Horner pass over a table stacking the lists they need
-    (``_eval``), bit for bit the per-point values (``_horner``); grids use
-    dense coefficient tables.  The exact bivariate fields
+    floats.  On arrays of points the three make one Horner pass over a
+    table stacking the lists they need (``_eval``), bit for bit the
+    per-point values (``_horner``); grids use dense coefficient tables.  The exact bivariate fields
     x1, x2, phi, n1, n2, density (``fields``) and the component derivatives
     f1u, f2u, g1u, g2u (``extras``) are BiPolys built on first access, exact
     whenever the curve is exact.
@@ -325,11 +319,10 @@ class Surface:
     # -- point kernel -------------------------------------------------------
 
     def _eval(self, ks, u, v):
-        """Ring coordinates of the Horner lists ks at (u, v), one pair per list: one
-        pass over their `_stacked` table on arrays (see _STACK_ENTRIES), else a pass per list."""
+        """Ring coordinates of the Horner lists ks at (u, v), one pair per list: a
+        pass per list at a scalar point, one pass over their `_stacked` table on arrays."""
         s = self.unit_sq
-        if isinstance(u, float) and isinstance(v, float) or not (
-                2 < len(ks) and len(ks) * np.broadcast(u, v).size <= _STACK_ENTRIES):
+        if np.ndim(u) == 0 and np.ndim(v) == 0:
             return [_horner(self._horner[k], u, v, s) for k in ks]
         table = self._stacked(ks)
         x, y = _horner(table.reshape(table.shape + (1,) * max(np.ndim(u), np.ndim(v))), u, v, s)
@@ -347,9 +340,10 @@ class Surface:
         return self._tables[ks]
 
     def _density(self, u, v):
-        """s (|F'|^2 - |G'|^2) at scalars or broadcasting arrays, same operations for both."""
+        """s (|F'|^2 - |G'|^2) at scalars or broadcasting arrays, same operations for both;
+        a pass per list, as stacking two lists was slower on density_grid's blocks (measured)."""
         s = self.unit_sq
-        return s * _mod_diff(*self._eval((1, 4), u, v), s)
+        return s * _mod_diff(*(_horner(self._horner[k], u, v, s) for k in (1, 4)), s)
 
     def density_jet(self, u, v):
         """(density, d/du, d/dv) at a float point or at arrays of points."""

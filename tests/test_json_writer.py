@@ -9,6 +9,7 @@ raise the same exception type.
 
 import io as stdio
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -149,3 +150,24 @@ def test_circular_structures_raise_value_error():
             _oracle(obj)
         with pytest.raises(ValueError):
             _written(obj)
+
+
+def _nested(depth, kind):
+    obj = 0.5
+    for _ in range(depth):
+        obj = [obj] if kind == "list" else [{"a": obj, "b": 1}, {"a": 2, "b": 3}, {"a": 4, "b": 5}]
+    return obj
+
+
+@pytest.mark.parametrize("kind", ["list", "rows"])
+def test_deep_structures_are_not_circular(kind):
+    """Nested as deep as json writes it: the same bytes; far deeper: json's
+    RecursionError, not a false circular-reference error."""
+    limit = sys.getrecursionlimit()
+    deep = _nested((limit if kind == "list" else limit // 2) - 200, kind)
+    assert _written(deep) == _oracle(deep)
+    too_deep = _nested(2 * limit, kind)
+    with pytest.raises(RecursionError):
+        _oracle(too_deep)
+    with pytest.raises(RecursionError):
+        _written(too_deep)

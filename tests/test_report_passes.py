@@ -32,9 +32,9 @@ SWALLOWTAILS = {"z2z3": 1, "z3z4": 1, "d3-lsc-26": 5, "d3-indefinite-02": 0,
                 "d3-indefinite-13": 1, "d3-lsc-17": 3, "d4-lsc-43": 2}
 # Horner passes of one cold classification_report at res 64 on Domain(),
 # the three of Surface._build included, measured when the point kernel took
-# one stacked pass per small array call; the per-list kernel before it made 302
+# one stacked pass per array call; the per-list kernel before it made 302
 # and 324.
-HORNER_BUDGET = {"z2z3": 65, "z3z4": 72}
+HORNER_BUDGET = {"z2z3": 57, "z3z4": 63}
 
 
 def _curves():

@@ -1,8 +1,8 @@
 """The stacked point kernel: one Horner pass per array call, bit for bit the per-point values.
 
-On small arrays, `density_jet` and `field_jets` run the Horner lists they
-need as one table, shorter lists zero-padded at the top; `chart_derivatives`
-(two lists) and larger arrays run a pass per list.  Every entry must equal
+On arrays, `density_jet`, `chart_derivatives` and `field_jets` run the
+Horner lists they need as one table, shorter lists zero-padded at the top;
+a scalar point runs a pass per list.  Every entry must equal
 the Python-float route at that point, signed zeros included, for curves of
 any degree up to the cap, F and G of different lengths, exact or float
 coefficients, and arrays of any shape.
@@ -90,20 +90,32 @@ LISTS = {"density_jet": 4, "chart_derivatives": 2, "field_jets": 9}
 
 @pytest.mark.parametrize("curve_cls,poly_cls", SIGNATURES, ids=["indefinite", "lsc"])
 def test_horner_passes_per_call(curve_cls, poly_cls, monkeypatch):
-    """Arrays of up to _STACK_ENTRIES entries over more than two lists take one
-    pass; two lists, larger arrays and Python floats take one pass per list,
-    with the same bits."""
+    """Every array call takes one pass, whatever its size; a scalar point takes
+    one pass per list, with the same bits."""
     curve = curve_cls(poly_cls([(1, 2), (Fraction(1, 3), 0), (0, -1)]), poly_cls([(0, 1)] * 6))
     surf = Surface(curve)
     calls = _count_horner(monkeypatch)
     rng = np.random.default_rng(3)
-    small = rng.uniform(-1, 1, (2, surfaces._STACK_ENTRIES // 9))
-    large = rng.uniform(-1, 1, (2, surfaces._STACK_ENTRIES // 4 + 1))
+    arrays = [rng.uniform(-1, 1, (2, n)) for n in (1, 40, 20000)] + [rng.uniform(-1, 1, (2, 3, 5))]
     for name, kernel in _kernels(surf).items():
-        for (u, v), stacked in ((small, LISTS[name] > 2), (large, False), ((0.25, -0.5), False)):
+        for u, v in arrays:
             calls.clear()
-            kernel(u, v)
-            assert len(calls) == (1 if stacked else LISTS[name]), name
-        for idx in (0, len(large[0]) // 2, -1):
-            want = kernel(float(large[0][idx]), float(large[1][idx]))
-            assert [float(x[idx]).hex() for x in kernel(*large)] == [x.hex() for x in want], name
+            got = kernel(u, v)
+            assert len(calls) == 1, name
+            for idx in (0, -1):
+                want = kernel(float(u.flat[idx]), float(v.flat[idx]))
+                assert [float(x.flat[idx]).hex() for x in got] == [x.hex() for x in want], name
+        for point in ((0.25, -0.5), (np.float64(0.25), np.array(-0.5))):
+            calls.clear()
+            kernel(*point)
+            assert len(calls) == LISTS[name], name
+
+
+@pytest.mark.parametrize("curve_cls,poly_cls", SIGNATURES, ids=["indefinite", "lsc"])
+def test_mixed_scalar_points_return_python_floats(curve_cls, poly_cls):
+    curve = curve_cls(poly_cls([(1, 2), (Fraction(1, 3), 0), (0, -1)]), poly_cls([(0, 1)] * 4))
+    for name, kernel in _kernels(Surface(curve)).items():
+        for point in ((0.5, 0), (0, -0.25), (1, 2)):
+            got = kernel(*point)
+            assert all(type(x) is float for x in got), name
+            assert [x.hex() for x in got] == [x.hex() for x in kernel(*map(float, point))], name
