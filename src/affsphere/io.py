@@ -311,7 +311,7 @@ def _indented(obj, pad):
     by one %-template filled from their columns; keys must be strings, as 1,
     1.0 and True, or 0.0 and -0.0, are equal keys with different text.  A
     structure nested too deeply raises RecursionError, at json's depth; a
-    circular one, which recurses to that limit, raises json's ValueError."""
+    circular one, which recurses to that limit too, json's ValueError."""
 
     def texts(values, depth):
         kinds = set(map(type, values))
@@ -349,26 +349,8 @@ def _indented(obj, pad):
     try:
         return texts([obj], 0)[0]
     except RecursionError:
-        if _circular(obj):
-            raise ValueError("Circular reference detected") from None
+        json.dumps(obj, default=_coerce_json)  # json's own ValueError if obj is circular
         raise
-
-
-def _circular(obj):
-    """Whether a list, tuple or dict in obj contains itself: json's test, the
-    ids of the containers on the current path, on an explicit stack."""
-    path, stack = set(), [(obj, False)]
-    while stack:
-        o, leaving = stack.pop()
-        if leaving:
-            path.discard(id(o))
-        elif isinstance(o, (list, tuple, dict)):
-            if id(o) in path:
-                return True
-            path.add(id(o))
-            stack.append((o, True))
-            stack.extend((x, False) for x in (o.values() if isinstance(o, dict) else o))
-    return False
 
 
 def _template(items, depth, pad, brackets):
