@@ -17,6 +17,7 @@ of those, so B^4 fits.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -87,7 +88,9 @@ def _compile(curve, domain):
         raise io.CurveParseError(f"cannot compile the surface: {exc}") from exc
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and kept for the process."""
     parser = _Parser(prog="affsphere", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -99,15 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="sample a surface mesh")
     common(p_synth)
-    p_synth.add_argument("--format", choices=("obj", "csv", "json"), default=None)
-    p_synth.set_defaults(func=cmd_synth)
+    p_synth.add_argument("--format", choices=tuple(io.GRID_WRITERS), default=None)
 
     p_classify = sub.add_parser("classify", help="trace and classify singularities")
     common(p_classify)
     p_classify.add_argument(
         "--probe", action="append", default=[], help="extra probe point u,v (repeatable)"
     )
-    p_classify.set_defaults(func=cmd_classify)
 
     p_verify = sub.add_parser("verify", help="run identity residual suites")
     common(p_verify)
@@ -115,13 +116,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--corrupt", choices=CORRUPTIONS, default=None, help="negative-control corruption"
     )
-    p_verify.set_defaults(func=cmd_verify)
 
     p_convert = sub.add_parser("convert", help="convert between parametrizations")
     p_convert.add_argument("--mode", required=True, choices=CONVERT_MODES)
     p_convert.add_argument("--in", dest="in_file", required=True, help="input file")
     p_convert.add_argument("--out", required=True, help="output file")
-    p_convert.set_defaults(func=cmd_convert)
     return parser
 
 
@@ -131,13 +130,8 @@ def cmd_synth(args) -> int:
     nu, nv = _parse_res(args.res)
     if not (2 <= nu <= 4096 and 2 <= nv <= 4096):
         raise InvalidDomain(f"resolution {nu}x{nv} outside [2, 4096]")
-    fmt = args.format
-    if fmt is None:
-        if args.out and "." in args.out:
-            ext = args.out.rsplit(".", 1)[1].lower()
-            fmt = ext if ext in ("obj", "csv", "json") else "json"
-        else:
-            fmt = "json"
+    ext = args.out.rsplit(".", 1)[1].lower() if args.out and "." in args.out else None
+    fmt = args.format or (ext if ext in io.GRID_WRITERS else "json")
     _compile(curve, domain)
     grid = sample_grid(curve, domain, (nu, nv))
     io.write_grid(grid, args.out or sys.stdout, fmt)
@@ -302,7 +296,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # looked up per call: a wrapper installed over cmd_<name> is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except io.CurveParseError as exc:
         return _fail(2, f"input error: {exc}")
     except (InvalidDomain, io.UnwritableOutput) as exc:

@@ -9,14 +9,16 @@ Curve file schema (JSON):
 Coefficient index is the power of z.  Rational entries are strings like
 "3" or "-1/2" and survive a round trip exactly; plain numbers are floats.
 
-The OBJ and CSV mesh writers stream one grid row at a time, so a write holds
-a few rows of text beside the grid: OBJ formats each row with one ``%``, CSV
-each line.  Every JSON output (curves, wave files, reports and the compact
-JSON grid, a file or stdout alike) goes through one writer, ``_write_json``.
+Every grid writer (``GRID_WRITERS``: OBJ, CSV and compact JSON) streams one
+grid row at a time from the grid's arrays, so a write holds a few rows of
+text beside the grid: OBJ formats each row with one ``%``, CSV each line,
+JSON each field row with ``_float_texts``.  Every other JSON output (curves,
+wave files and reports, a file or stdout alike) goes through one writer,
+``_write_json``, whose only mode is indented JSON.
 
-Indented JSON (all but the grid) comes from ``_indented``: the bytes of
-``json.dump(obj, fh, indent=2, default=_coerce_json)``, the tests' oracle,
-without json's pure-Python encoder that yields and writes every token.
+Indented JSON comes from ``_indented``: the bytes ``json.dump`` writes with
+``indent=2, default=_coerce_json``, the tests' oracle, without json's
+pure-Python encoder that yields and writes every token.
 Sibling dicts with one key sequence (report points, verify suites) fill
 one ``%`` template built for that key sequence and depth.
 """
@@ -223,47 +225,51 @@ def write_csv(grid: SurfaceGrid, path):
             fh.write("".join([line % row for row in zip(repeat(u), v, *fields)]))
 
 
-def grid_to_json(grid: SurfaceGrid) -> dict:
-    return {
-        "signature": grid.curve.signature,
-        "domain": [grid.domain.u0, grid.domain.u1, grid.domain.v0, grid.domain.v1],
-        "shape": list(grid.shape),
-        "u_axis": grid.u_axis.tolist(),
-        "v_axis": grid.v_axis.tolist(),
-        "fields": {
-            "x1": grid.x1.tolist(),
-            "x2": grid.x2.tolist(),
-            "phi": grid.phi.tolist(),
-            "n1": grid.n1.tolist(),
-            "n2": grid.n2.tolist(),
-            "lambda": grid.density.tolist(),
-        },
-    }
+def write_json_grid(grid: SurfaceGrid, path):
+    """Compact JSON to a path or text stream: the signature, domain, shape,
+    axes and the six fields as nested row lists, every float of the arrays
+    written by `_float_texts`."""
+    nu, nv = grid.shape
+    d = grid.domain
+    domain = ", ".join(_scalar(x) or _scalar(_coerce_json(x)) for x in (d.u0, d.u1, d.v0, d.v1))
+    fields = {"x1": grid.x1, "x2": grid.x2, "phi": grid.phi, "n1": grid.n1, "n2": grid.n2,
+              "lambda": grid.density}
+    with _output(path) as fh:
+        fh.write(f'{{"signature": {encode_basestring_ascii(grid.curve.signature)}, '
+                 f'"domain": [{domain}], "shape": [{nu}, {nv}], '
+                 f'"u_axis": {_float_row(grid.u_axis)}, "v_axis": {_float_row(grid.v_axis)}, "fields": {{')
+        for k, (name, field) in enumerate(fields.items()):
+            fh.write(f'{", " if k else ""}"{name}": [')
+            for i, row in enumerate(field):
+                fh.write(f", {_float_row(row)}" if i else _float_row(row))
+            fh.write("]")
+        fh.write("}}\n")
+
+
+def _float_row(xs):
+    """Compact JSON list of a 1-D float array."""
+    return "[" + ", ".join(_float_texts(xs.tolist())) + "]"
+
+
+# format name -> writer(grid, path or text stream)
+GRID_WRITERS = {"obj": write_obj, "csv": write_csv, "json": write_json_grid}
 
 
 def write_grid(grid: SurfaceGrid, path, fmt):
-    if fmt == "obj":
-        write_obj(grid, path)
-    elif fmt == "csv":
-        write_csv(grid, path)
-    elif fmt == "json":
-        _write_json(grid_to_json(grid), path, indent=None)
-    else:
+    if fmt not in GRID_WRITERS:
         raise ValueError(f"unknown grid format {fmt!r}")
+    GRID_WRITERS[fmt](grid, path)
 
 
 def write_json_report(obj, path):
     _write_json(obj, path)
 
 
-def _write_json(obj, out, indent=2):
-    """The one JSON writer: obj and a newline to a path or text stream, numpy
-    scalars and arrays as their Python values; indent=None writes compact JSON."""
+def _write_json(obj, out):
+    """The one JSON writer: obj indented by two spaces, and a newline, to a path
+    or text stream; numpy scalars and arrays as their Python values."""
     with _output(out) as fh:
-        if indent is None:
-            json.dump(obj, fh, default=_coerce_json)
-        else:
-            fh.write(_indented(obj, " " * indent))
+        fh.write(_indented(obj, "  "))
         fh.write("\n")
 
 

@@ -255,13 +255,11 @@ def ccr_residual(curve, domain: Domain | None = None):
 
     surf = _surface(curve)
     domain = domain or Domain()
-    lines = [] if surf.density_is_zero else sg._null_line_curves(
-        curve, surf, domain, 48, sg.tolerances_for(curve, domain.radius)
-    )
+    lines = [] if surf.density_is_zero else sg._null_lines(curve, domain, 48)
     samples = []
-    for sc in lines:
-        step = max(1, len(sc.points) // 5)
-        samples.extend(sc.points[step::step])
+    for _, pts in lines:
+        step = max(1, len(pts) // 5)
+        samples.extend(pts[step::step])
     res = np.zeros(0)
     if samples:  # one psi window per frontal-not-front sample, all in one array pass
         p = sg._rows(samples)

@@ -471,15 +471,6 @@ def _chain_segments(segments):
     return chains
 
 
-def _polyline_tangents(surf, pts, tols):
-    """Unit tangents along rot(grad lam), aligned with the walk direction."""
-    t, norm = _level_tangent(surf.density_jet(pts[:, 0], pts[:, 1]))
-    flags = norm <= tols.deg
-    steps = np.concatenate([pts[1:] - pts[:-1], pts[-1:] - pts[-2:-1]])
-    tangents = np.where(flags[:, None], _unit(steps)[0], _aligned(t, steps))
-    return tangents, flags
-
-
 def _null_line_values(curve):
     """Constants c with {u-v=c} or {u+v=c} inside {lam=0}, via the wave split.
 
@@ -555,10 +546,12 @@ def _clip_line(domain, kind, c):
     return (lo, hi) if hi > lo else None
 
 
-def _null_line_curves(curve, surf, domain, n_samples, tols):
-    curves = []
+def _null_lines(curve, domain, n_samples):
+    """(line, points) of the analytic null lines inside the domain, line as
+    ("sum"|"difference", constant), n_samples evenly spaced points each."""
     if curve.signature != "indefinite":
-        return curves
+        return []
+    lines = []
     sum_lines, diff_lines = _null_line_values(curve)
     for kind, values in (("sum", sum_lines), ("difference", diff_lines)):
         for c in values:
@@ -567,16 +560,8 @@ def _null_line_curves(curve, surf, domain, n_samples, tols):
                 continue
             us = np.linspace(span[0], span[1], n_samples)
             vs = us - c if kind == "difference" else c - us
-            pts = np.column_stack([us, vs])
-            tangents = np.tile(_NULL_LINE_DIRECTION[kind], (len(pts), 1))
-            flags = _level_tangent(surf.density_jet(us, vs))[1] <= tols.deg
-            curves.append(
-                SingularCurve(
-                    points=pts, tangents=tangents, degenerate_flags=flags,
-                    closed=False, kind="null-line", line=(kind, float(c)),
-                )
-            )
-    return curves
+            lines.append(((kind, float(c)), np.column_stack([us, vs])))
+    return lines
 
 
 def _near_null_line(pts, line, tol):
@@ -618,11 +603,11 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
     u_axis, v_axis = domain.axes(n, n)
     lam_grid = surf.density_grid(u_axis, v_axis)
 
-    line_curves = _null_line_curves(curve, surf, domain, n, tols)
+    lines = _null_lines(curve, domain, n)
 
     segments, crossings = _marching_squares(surf, u_axis, v_axis, lam_grid)
     cell_diag = float(np.hypot(u_axis[1] - u_axis[0], v_axis[1] - v_axis[0]))
-    curves = list(line_curves)
+    pieces = []  # (points, closed) of the traced runs
     for chain, closed in _chain_segments(segments):
         pts = np.array([crossings[k] for k in chain])
         if closed and len(pts) > 1:
@@ -631,21 +616,33 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
             continue
         # points already covered by an analytic null line are duplicates
         near = np.zeros(len(pts), dtype=bool)
-        for lc in line_curves:
-            near |= _near_null_line(pts, lc.line, 0.75 * cell_diag)
+        for line, _ in lines:
+            near |= _near_null_line(pts, line, 0.75 * cell_diag)
         runs = _mask_runs(~near, closed)
         whole = len(runs) == 1 and len(runs[0]) == len(pts)
-        for run in runs:
-            if len(run) < 2:
-                continue
-            piece = pts[run]
-            tangents, flags = _polyline_tangents(surf, piece, tols)
-            curves.append(
-                SingularCurve(
-                    points=piece, tangents=tangents, degenerate_flags=flags,
-                    closed=closed and whole, kind="traced",
-                )
-            )
+        pieces.extend((pts[run], closed and whole) for run in runs if len(run) >= 2)
+
+    # one density pass over the nodes of every line and run
+    polylines = [pts for _, pts in lines] + [pts for pts, _ in pieces]
+    if not polylines:
+        return []
+    nodes = np.concatenate(polylines)
+    level, norm = _level_tangent(surf.density_jet(nodes[:, 0], nodes[:, 1]))
+    cuts = np.cumsum([len(pts) for pts in polylines])[:-1]
+    levels, flags = np.split(level, cuts), np.split(norm <= tols.deg, cuts)
+    curves = [
+        SingularCurve(
+            points=pts, tangents=np.tile(_NULL_LINE_DIRECTION[line[0]], (len(pts), 1)),
+            degenerate_flags=flag, closed=False, kind="null-line", line=line,
+        )
+        for (line, pts), flag in zip(lines, flags)
+    ]
+    for (pts, closed), t, flag in zip(pieces, levels[len(lines):], flags[len(lines):]):
+        # unit tangents along rot(grad lam), aligned with the walk direction
+        steps = np.concatenate([pts[1:] - pts[:-1], pts[-1:] - pts[-2:-1]])
+        tangents = np.where(flag[:, None], _unit(steps)[0], _aligned(t, steps))
+        curves.append(SingularCurve(points=pts, tangents=tangents, degenerate_flags=flag,
+                                    closed=closed, kind="traced"))
     return curves
 
 
@@ -941,17 +938,17 @@ def ccr_psi_control():
 
 
 def _frame_dets(surf, q, ref_dir, ref_eta):
-    """(det(gamma', eta), gamma', eta, defined) at the rows of q, the level tangent
-    gamma' and null direction eta `_aligned` with the reference rows; det is
-    undefined where either vector vanishes."""
+    """det(gamma', eta) at the rows of q, the level tangent gamma' and null
+    direction eta `_aligned` with the reference rows; 0 where either vanishes."""
     t, t_norm = _level_tangent(surf.density_jet(q[:, 0], q[:, 1]))
     eta, eta_norm = _null_direction(_chart_matrix(surf, q[:, 0], q[:, 1]))
-    t, eta = _aligned(t, ref_dir), _aligned(eta, ref_eta)
-    return _det2(t, eta), t, eta, (t_norm != 0.0) & (eta_norm != 0.0)
+    defined = (t_norm != 0.0) & (eta_norm != 0.0)
+    return np.where(defined, _det2(_aligned(t, ref_dir), _aligned(eta, ref_eta)), 0.0)
 
 
 def _node_dets(surf, pts, tangents, degenerate):
-    """det(gamma', eta) at the concatenated nodes of traced curves; NaN where undefined.
+    """(det(gamma', eta), eta) at the concatenated nodes of traced curves, det
+    NaN where undefined, eta the null direction as `_null_direction` gives it.
 
     One array pass over the nodes of all curves.  gamma' is the curve's
     tangent, which is +-rot(grad lam) exactly at every node not flagged
@@ -963,13 +960,13 @@ def _node_dets(surf, pts, tangents, degenerate):
     are fixed only up to one factor per curve, which leaves every product of
     two dets on a curve, the bracket test, unchanged.
     """
-    eta, norm = _null_direction(_chart_matrix(surf, pts[:, 0], pts[:, 1]))
+    etas, norm = _null_direction(_chart_matrix(surf, pts[:, 0], pts[:, 1]))
     rows = np.flatnonzero((norm != 0.0) & ~degenerate)
-    t, eta = tangents[rows], eta[rows]
+    t, eta = tangents[rows], etas[rows]
     flips = [np.where(_dot(x[1:], x[:-1]) < 0, -1.0, 1.0) for x in (t, eta)]
     dets = np.full(len(pts), np.nan)
     dets[rows] = _det2(t, eta) * np.cumprod(np.concatenate([[1.0], flips[0] * flips[1]]))[:len(rows)]
-    return dets
+    return dets, etas
 
 
 def _project_or_keep(surf, curve, q):
@@ -991,7 +988,7 @@ def _swallowtail_roots(surf, curve, traced):
         return np.zeros((0, 2))
     pts, tangents, flags = (np.concatenate([getattr(sc, name) for sc in curves])
                             for name in ("points", "tangents", "degenerate_flags"))
-    dets = _node_dets(surf, pts, tangents, flags)
+    dets, etas = _node_dets(surf, pts, tangents, flags)
     sizes = np.array([len(sc) for sc in curves])
     ends = np.cumsum(sizes)
     k_next = np.arange(1, ends[-1] + 1)  # node k's bracket ends at the next node,
@@ -1001,16 +998,14 @@ def _swallowtail_roots(surf, curve, traced):
     k = np.flatnonzero(bracket)
     if not k.size:
         return np.zeros((0, 2))
-    pa, pb, tangent = pts[k], pts[k_next[k]], tangents[k]
-    # constant references keep the sign of det continuous while
-    # `_brent` samples a bracket out of order
-    _, dir0, eta0, defined = _frame_dets(surf, pa, tangent, None)
-    pa, pb, dir0, eta0 = pa[defined], pb[defined], dir0[defined], eta0[defined]
+    # constant references, the first node's tangent and null direction, keep
+    # the sign of det continuous while `_brent` samples a bracket out of order;
+    # a bracket node is not degenerate, so its tangent is +-rot(grad lam) there
+    pa, pb, dir0, eta0 = pts[k], pts[k_next[k]], tangents[k], etas[k]
 
     def det_along(s, lanes):
         q = _project_or_keep(surf, curve, (1 - s)[:, None] * pa[lanes] + s[:, None] * pb[lanes])
-        d, _, _, defined = _frame_dets(surf, q, dir0[lanes], eta0[lanes])
-        return np.where(defined, d, 0.0)
+        return _frame_dets(surf, q, dir0[lanes], eta0[lanes])
 
     lanes = np.arange(len(pa))  # both ends of every bracket in one call
     fa, fb = np.split(det_along(np.repeat([0.0, 1.0], len(pa)), np.tile(lanes, 2)), 2)
