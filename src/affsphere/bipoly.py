@@ -10,9 +10,6 @@ with numpy's polyval2d on one dense float table, and exact points exactly.
 
 Exact products convolve integer numerators over a common denominator and
 divide once per output term, rather than multiplying Fractions term by term.
-Grids are evaluated on the tensor product of their axes (``polygrid2d``),
-which takes O(d N^2) work and memory linear in N^2 instead of a meshgrid's
-O(d^2 N^2).
 """
 
 from __future__ import annotations
@@ -143,33 +140,6 @@ class BiPoly:
     def partial_v(self):
         return BiPoly({(i, j - 1): j * v for (i, j), v in self.c.items() if j > 0})
 
-    def antiderivative_u(self):
-        """Antiderivative in u vanishing on {u=0}; exact stays exact."""
-        out = {}
-        for (i, j), val in self.c.items():
-            if is_exact(val):
-                out[(i + 1, j)] = Fraction(val, i + 1)
-            else:
-                out[(i + 1, j)] = val / (i + 1)
-        return BiPoly(out)
-
-    def antiderivative_v(self):
-        out = {}
-        for (i, j), val in self.c.items():
-            if is_exact(val):
-                out[(i, j + 1)] = Fraction(val, j + 1)
-            else:
-                out[(i, j + 1)] = val / (j + 1)
-        return BiPoly(out)
-
-    def restrict_v(self, v0=0):
-        """1-D coefficient list in u after substituting v = v0 (exact for exact v0)."""
-        n = 1 + max((i for (i, j) in self.c), default=0)
-        out = [0] * n
-        for (i, j), val in self.c.items():
-            out[i] = out[i] + val * (v0 ** j if j else 1)
-        return out
-
     # -- evaluation ----------------------------------------------------
 
     def __call__(self, u, v):
@@ -188,14 +158,6 @@ class BiPoly:
         for (i, j), val in self.c.items():
             acc = acc + val * u**i * v**j
         return acc
-
-    def grid(self, u_axis, v_axis):
-        """Values on the tensor grid u_axis x v_axis, shape (len(u_axis), len(v_axis)).
-
-        polygrid2d runs the same Horner steps per node as polyval2d on the
-        indexing="ij" meshgrid, so the values are bit-identical.
-        """
-        return np.polynomial.polynomial.polygrid2d(u_axis, v_axis, self._dense_array())
 
     def _dense_array(self):
         if self._dense is None:
@@ -220,9 +182,6 @@ class BiPoly:
 
     def is_exact(self) -> bool:
         return all(is_exact(v) for v in self.c.values())
-
-    def max_abs_coeff(self):
-        return max((abs(v) for v in self.c.values()), default=0)
 
     def total_degree(self):
         return max((i + j for (i, j) in self.c), default=-1)

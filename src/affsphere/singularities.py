@@ -145,10 +145,6 @@ def _aligned(vec, ref):
     return np.where((_dot(vec, ref) < 0)[..., None], -vec, vec)
 
 
-def _density_floats(surf, u, v):
-    return surf.density_jet(float(u), float(v))
-
-
 def _level_tangent(jet):
     """(unit rot(grad lam), |grad lam|), tangents of the level sets of lam, from
     the density jets (lam, lam_u, lam_v) of rows of points."""

@@ -35,29 +35,6 @@ def test_partials():
     assert p.partial_v() == U * U + 4
 
 
-def test_antiderivatives_vanish_on_axis_and_invert_partials():
-    p = 3 * U * U * V - V + 7
-    q = p.antiderivative_u()
-    assert q.partial_u() == p
-    assert q.restrict_v(0)[0] == 0 if q.restrict_v(0) else True
-    r = p.antiderivative_v()
-    assert r.partial_v() == p
-    assert all(c == 0 for (i, j), c in r.c.items() if j == 0)
-
-
-def test_antiderivative_keeps_fractions():
-    p = BiPoly({(1, 0): 1})
-    q = p.antiderivative_u()
-    assert q.coeff(2, 0) == Fraction(1, 2)
-    assert q.is_exact()
-
-
-def test_restrict_v_at_rational_point():
-    p = U * U + 5 * U * V + V * V
-    line = p.restrict_v(Fraction(1, 2))
-    assert line == [Fraction(1, 4), Fraction(5, 2), 1]
-
-
 def test_expand_para_square_and_cube():
     # (u + jv)^2 = (u^2 + v^2) + j(2uv), (u + jv)^3 uses j^2 = 1
     re2, im2 = expand_planar_poly(ParaPoly.monomial(2))
@@ -182,38 +159,6 @@ def test_exact_points_still_evaluate_exactly(p, u, v, integral):
     assert got == sum((c * Fraction(u) ** i * Fraction(v) ** j for (i, j), c in p.c.items()), 0)
     if p.is_exact():
         assert isinstance(got, (int, Fraction))
-
-
-# -- tensor-grid evaluation ---------------------------------------------------
-
-
-def _dense(p):
-    nu = 1 + max((i for i, _ in p.c), default=0)
-    nv = 1 + max((j for _, j in p.c), default=0)
-    dense = np.zeros((nu, nv))
-    for (i, j), c in p.c.items():
-        dense[i, j] = float(c)
-    return dense
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    bipolys(),
-    st.sampled_from([(1, 1), (2, 2), (7, 13), (13, 7), (16, 5)]),
-    st.data(),
-)
-def test_grid_is_bitwise_polyval2d_on_ij_meshgrid(p, shape, data):
-    u_axis, v_axis = (
-        np.array(data.draw(st.lists(points, min_size=n, max_size=n)), dtype=float)
-        for n in shape
-    )
-    uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
-    with np.errstate(all="ignore"):
-        got = p.grid(u_axis, v_axis)
-        want = np.polynomial.polynomial.polyval2d(uu, vv, _dense(p))
-    assert got.shape == want.shape == shape
-    assert got.dtype == want.dtype == np.float64
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # -- exact products -------------------------------------------------------------

@@ -212,8 +212,12 @@ def test_non_finite_domain_exits_3_without_output(curve_files, tmp_path, capsys,
     assert not out.exists()
 
 
+class _BuildError(ValueError):
+    """A ValueError subclass raised by a failing exact build."""
+
+
 @pytest.mark.parametrize(
-    "error", [surfaces.ClosednessViolation("one-form not closed"), ValueError("no surface")]
+    "error", [_BuildError("exact build failed"), ValueError("no surface")]
 )
 @pytest.mark.parametrize("command", ["synth", "classify", "verify"])
 def test_compile_error_exits_2_without_output(

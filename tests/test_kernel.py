@@ -195,6 +195,7 @@ def test_lazy_exact_fields_match_termwise_product_build(curve_cls, poly_cls, mon
         for got, want in ((fields, ref.fields), (extras, ref.extras)):
             assert got.keys() == want.keys()
             for name in want:
+                assert got[name].is_exact()
                 assert {k: (type(c), c) for k, c in got[name].c.items()} == {
                     k: (type(c), c) for k, c in want[name].c.items()
                 }, name

@@ -1,0 +1,66 @@
+"""Guards against code that only tests reach, and against a drifting public API.
+
+Every single-underscore function, method or class in the package must be
+named somewhere in the package outside its own definition; a private helper
+that nothing in ``src/affsphere`` calls serves only tests and is deleted.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import affsphere
+
+SRC = Path(affsphere.__file__).parent
+
+# private definitions kept although no package code names them, with the reason
+ALLOWED_UNREFERENCED = {
+    "_bracket_root": "one-lane harness of the brentq-equality tests of the lane solver",
+}
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _names(node):
+    """Identifiers that node and its children name, as Name ids and attribute names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _private_definitions_and_uses():
+    defs = {}  # name -> "file:line" of its first definition
+    uses = Counter()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses.update(_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if _is_private(node.name):
+                    defs.setdefault(node.name, f"{path.name}:{node.lineno}")
+                    # a definition's own body naming it (recursion) is not a use
+                    uses[node.name] -= sum(n == node.name for n in _names(node))
+    return defs, uses
+
+
+def test_every_private_definition_is_named_in_the_package():
+    defs, uses = _private_definitions_and_uses()
+    unused = sorted(
+        f"{name} ({where})"
+        for name, where in defs.items()
+        if uses[name] <= 0 and name not in ALLOWED_UNREFERENCED
+    )
+    assert not unused, f"private definitions no package code names: {unused}"
+    stale = [name for name in ALLOWED_UNREFERENCED if name not in defs or uses[name] > 0]
+    assert not stale, f"allowlisted names that are gone or now named in the package: {stale}"
+
+
+def test_public_names_sorted_unique_and_resolvable():
+    names = affsphere.__all__
+    assert names == sorted(set(names))
+    missing = [name for name in names if not hasattr(affsphere, name)]
+    assert not missing, f"__all__ names missing from the package: {missing}"

@@ -65,7 +65,7 @@ def test_trace_refinement_and_tangents():
         for q, tan, flag in zip(sc.points, sc.tangents, sc.degenerate_flags):
             assert abs(surf.fields["density"](q[0], q[1])) < 1e-11
             assert not flag
-            _, gu, gv = sg._density_floats(surf, q[0], q[1])
+            _, gu, gv = surf.density_jet(float(q[0]), float(q[1]))
             rot = np.array([-gv, gu])
             rot = rot / np.hypot(*rot)
             assert abs(abs(tan @ rot) - 1) < 1e-9
