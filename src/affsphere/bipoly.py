@@ -42,14 +42,6 @@ class BiPoly:
     def constant(cls, a):
         return cls({(0, 0): a})
 
-    @classmethod
-    def var_u(cls):
-        return cls({(1, 0): 1})
-
-    @classmethod
-    def var_v(cls):
-        return cls({(0, 1): 1})
-
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
@@ -182,9 +174,6 @@ class BiPoly:
 
     def is_exact(self) -> bool:
         return all(is_exact(v) for v in self.c.values())
-
-    def total_degree(self):
-        return max((i + j for (i, j) in self.c), default=-1)
 
     def terms(self):
         """Sorted ((i, j), coeff) pairs, graded lexicographic."""

@@ -24,10 +24,21 @@ import sys
 import numpy as np
 
 from . import conversions, io, residuals, singularities
-from .surfaces import Domain, InvalidDomain, compile_surface, sample_grid
+from .surfaces import _SHORTHANDS, Domain, InvalidDomain, compile_surface, sample_grid
 
-SUITES = ("duality", "two_form", "conformal", "monge_ampere", "lift", "ccr")
-CORRUPTIONS = ("negate-n1", "negate-n2", "scale-phi", "flip-q")
+# suite name -> (the input it takes, its runner returning the suite's reports);
+# runners look residuals' functions up per call, so a wrapper installed over one is run
+_SUITES = {
+    "duality": ("points", lambda surf, x, flip_q: [residuals.duality_residual(surf, x)]),
+    "two_form": ("points", lambda surf, x, flip_q: [residuals.two_form_residual(surf, x)]),
+    "conformal": ("points", lambda surf, x, flip_q: [residuals.metric_conformality(surf, x)]),
+    "monge_ampere": ("patch", lambda surf, x, flip_q: [residuals.monge_ampere_residual(surf, x)]),
+    "lift": ("patch", lambda surf, x, flip_q: [residuals.lift_residual(surf, x, flip_q=flip_q)]),
+    "ccr": ("domain", lambda surf, domain, flip_q: residuals.ccr_residual(surf.curve, domain)),
+}
+SUITES = tuple(_SUITES)
+# the field corruptions of Surface.with_patched_fields, then flip-q, which lift applies
+CORRUPTIONS = tuple(key.replace("_", "-") for key in _SHORTHANDS) + ("flip-q",)
 CONVERT_MODES = ("cls", "cortes", "blaschke", "blaschke-inverse")
 
 
@@ -187,42 +198,28 @@ def cmd_verify(args) -> int:
         raise InvalidDomain("no suite selected")
 
     surf = _compile(curve, domain)
-    flip_q = args.corrupt == "flip-q"
-    if args.corrupt == "negate-n1":
-        surf = surf.with_patched_fields(negate_n1=True)
-    elif args.corrupt == "negate-n2":
-        surf = surf.with_patched_fields(negate_n2=True)
-    elif args.corrupt == "scale-phi":
-        surf = surf.with_patched_fields(scale_phi=True)
+    shorthand = (args.corrupt or "").replace("-", "_")
+    if shorthand in _SHORTHANDS:
+        surf = surf.with_patched_fields(**{shorthand: True})
 
+    # each input is built when a suite first needs it, and again by the next
+    # suite that needs it when building it raised PatchNotGraph
     rng = np.random.default_rng(12345)
+    build = {
+        "points": lambda: residuals.random_regular_points(curve, 100, rng, domain),
+        "patch": lambda: residuals.regular_graph_patch(curve, domain, res=20),
+        "domain": lambda: domain,
+    }
+    inputs = {}
     reports = []
-    points = patch = None
     for name in names:
+        need, run = _SUITES[name]
         try:
-            if name in ("duality", "two_form", "conformal"):
-                if points is None:
-                    points = residuals.random_regular_points(curve, 100, rng, domain)
-                fn = {
-                    "duality": residuals.duality_residual,
-                    "two_form": residuals.two_form_residual,
-                    "conformal": residuals.metric_conformality,
-                }[name]
-                reports.append(fn(surf, points))
-            elif name in ("monge_ampere", "lift"):
-                if patch is None:
-                    patch = residuals.regular_graph_patch(curve, domain, res=20)
-                if name == "monge_ampere":
-                    reports.append(residuals.monge_ampere_residual(surf, patch))
-                else:
-                    reports.append(residuals.lift_residual(surf, patch, flip_q=flip_q))
-            else:
-                main, control = residuals.ccr_residual(curve, domain)
-                reports.extend([main, control])
+            if need not in inputs:
+                inputs[need] = build[need]()
+            reports.extend(run(surf, inputs[need], args.corrupt == "flip-q"))
         except residuals.PatchNotGraph as exc:
-            reports.append(
-                residuals.ResidualReport(name, float("inf"), float("inf"), 0, False, 0.0)
-            )
+            reports.append(residuals.ResidualReport(name, math.inf, math.inf, 0, False, 0.0))
             sys.stderr.write(f"suite {name}: {exc}\n")
 
     for rep in reports:

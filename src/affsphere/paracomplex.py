@@ -307,14 +307,48 @@ class Poly1(_DensePoly):
     __slots__ = ()
 
     def real_roots(self):
-        """Real roots (float), via the numpy companion matrix."""
+        """Real roots (float), via the numpy companion matrix.
+
+        The companion matrix splits a multiple root into a cluster, whose
+        members may leave the real axis.  So when the coefficients are exact
+        and two roots lie within 1e-3 (1 + |r|) of each other, the roots are
+        those of the square-free part P / gcd(P, P'), each root once.
+        """
         import numpy as np
 
-        cs = [float(c) for c in self.coeffs]
-        if len(cs) <= 1:
+        if len(self.coeffs) <= 1:
             return []
-        rts = np.roots(cs[::-1])
+        rts = np.roots([float(c) for c in reversed(self.coeffs)])
+        if all(map(is_exact, self.coeffs)):
+            gap = np.abs(rts[:, None] - rts) + np.diag(np.full(len(rts), np.inf))
+            if (gap <= 1e-3 * (1 + np.abs(rts))).any():
+                rts = np.roots([float(c) for c in reversed(_squarefree(self.coeffs))])
         return sorted(float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1 + abs(r)))
+
+
+def _divmod_exact(num, den):
+    """(quotient, remainder) of exact coefficient lists, lowest degree first,
+    den without trailing zeros; the remainder without trailing zeros."""
+    rem, quot = [Fraction(c) for c in num], []
+    while len(rem) >= len(den):
+        f = rem[-1] / den[-1]
+        quot.append(f)
+        for i, d in enumerate(den, len(rem) - len(den)):
+            rem[i] -= f * d
+        rem.pop()
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return quot[::-1], rem
+
+
+def _squarefree(coeffs):
+    """Coefficients of P / gcd(P, P') for exact P of degree >= 1, the gcd by
+    Euclid's algorithm over Fraction with monic remainders."""
+    a, b = list(coeffs), [k * c for k, c in enumerate(coeffs)][1:]
+    while b:
+        b = [c / Fraction(b[-1]) for c in b]
+        a, b = b, _divmod_exact(a, b)[1]
+    return _divmod_exact(coeffs, a)[0]
 
 
 @dataclass(frozen=True)
@@ -352,14 +386,9 @@ def para_to_dalembert(F: ParaPoly) -> DAlembertPair:
     sigma_k = (a_k-b_k)/2 for the coefficient a_k + j b_k, because
     z**k = (u+v)**k e+ + (u-v)**k e- in the idempotent basis e+- = (1 +- j)/2.
     """
-    rho, sigma = [], []
-    for c in F.coeffs:
-        if c.is_exact():
-            rho.append(Fraction(c.re + c.im, 2))
-            sigma.append(Fraction(c.re - c.im, 2))
-        else:
-            rho.append((c.re + c.im) / 2)
-            sigma.append((c.re - c.im) / 2)
+    half = Fraction(1, 2)  # exact on exact coefficients, 0.5 x on float ones
+    rho = [half * (c.re + c.im) for c in F.coeffs]
+    sigma = [half * (c.re - c.im) for c in F.coeffs]
     return DAlembertPair(Poly1(rho), Poly1(sigma))
 
 

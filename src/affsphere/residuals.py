@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .surfaces import Domain, Surface, _dot, compile_surface
+from .singularities import _null_line_psi, ccr_psi_control
+from .surfaces import Domain, Surface, compile_surface
 
 
 class PatchNotGraph(ValueError):
@@ -35,14 +36,8 @@ class ResidualReport:
     tolerance: float
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "points_checked": self.points_checked,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-        }
+        """The fields in order, passed under the key "pass"."""
+        return {"pass" if key == "passed" else key: val for key, val in vars(self).items()}
 
 
 def _surface(curve_or_surface) -> Surface:
@@ -251,42 +246,10 @@ def ccr_residual(curve, domain: Domain | None = None):
     non-vacuity control on the frontal (u, v^2, u v^3) whose residual is the
     ratio 1e-3 / |Psi'(0)| (pass means the control test would reject it).
     """
-    from . import singularities as sg
-
-    surf = _surface(curve)
-    domain = domain or Domain()
-    lines = [] if surf.density_is_zero else sg._null_lines(curve, domain, 48)
-    samples = []
-    for _, pts in lines:
-        step = max(1, len(pts) // 5)
-        samples.extend(pts[step::step])
-    res = np.zeros(0)
-    if samples:  # one psi window per frontal-not-front sample, all in one array pass
-        p = sg._rows(samples)
-        tols = sg._point_tols(curve, p)
-        lam, _, _ = surf.density_jet(p[:, 0], p[:, 1])
-        kinds = sg._fnf_kind(surf, p[:, 0], p[:, 1], tols)
-        fnf = np.array([k is not None for k in kinds], dtype=bool)
-        rows = np.flatnonzero(fnf & ~(np.abs(lam) > tols.sing))
-        _, dpsi0, ok = sg._psi_windows(surf, p[rows], tols.rows(rows), kinds[rows])
-        rows, dpsi0 = rows[ok], dpsi0[ok]
-        x_u, x_v, _, n_u, n_v = sg._lift_frames(surf, p[rows, 0], p[rows, 1])
-        # Frobenius norms of the 3x2 Jacobians, summed in np.linalg.norm's order
-        jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x_u, x_v), (n_u, n_v)))
-        scale = np.maximum(1.0, np.sqrt(_dot(jac_x, jac_x)) * np.sqrt(_dot(jac_n, jac_n)))
-        res = np.abs(dpsi0) / scale
-    main = _report("ccr", res, 1e-6)
-    _, dpsi_control = sg.ccr_psi_control()
+    dpsi0, scale = _null_line_psi(curve, domain or Domain())
+    _, dpsi_control = ccr_psi_control()
     ratio = 1e-3 / max(abs(dpsi_control), 1e-300)
-    control = ResidualReport(
-        name="ccr_control",
-        max_abs=ratio,
-        mean_abs=ratio,
-        points_checked=1,
-        passed=bool(ratio <= 1.0),
-        tolerance=1.0,
-    )
-    return main, control
+    return _report("ccr", np.abs(dpsi0) / scale, 1e-6), _report("ccr_control", ratio, 1.0)
 
 
 def random_regular_points(curve, n, rng, domain: Domain | None = None):

@@ -34,9 +34,11 @@ swallowtail search all brackets of all traced curves in another.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -51,10 +53,6 @@ TAG_SWALLOWTAIL = "Swallowtail"
 TAG_FRONT_UNCLASSIFIED = "FrontUnclassified"
 TAG_DEGENERATE_OTHER = "DegenerateOther"
 
-ALL_TAGS = (
-    TAG_REGULAR, TAG_BRANCH, TAG_FRONTAL_NOT_FRONT, TAG_CUSPIDAL_EDGE,
-    TAG_SWALLOWTAIL, TAG_FRONT_UNCLASSIFIED, TAG_DEGENERATE_OTHER,
-)
 _DET_TOL = 1e-6  # floor of |det(gamma', eta)| in the front criteria
 _NULL_TOL = 1e-7  # relative kernel residual above which null_vector uses the SVD
 
@@ -150,6 +148,11 @@ def _level_tangent(jet):
     the density jets (lam, lam_u, lam_v) of rows of points."""
     _, gu, gv = jet
     return _unit(np.stack([-gv, gu], axis=-1))
+
+
+def _newton_tol(sing):
+    """Newton tolerance of the window marches and the swallowtail projections."""
+    return np.maximum(1e-13, sing * 1e-4)
 
 
 def _newton_project_rows(surf, q, tol, max_travel):
@@ -482,40 +485,20 @@ def _null_line_values(curve):
     rg, sg = pg.rho.derivative(), pg.sigma.derivative()
 
     def axis_lines(p_left, q_left, p_right, q_right):
-        # lines where p_left(c) a_k = q_left(c) b_k for coefficients of
-        # p_right (a) and q_right (b)
-        deg = max(p_right.degree, q_right.degree)
-        if deg < 0:
-            return []
-
-        def coeff(poly, k):
-            return float(poly.coeffs[k]) if k < len(poly.coeffs) else 0.0
-
-        pairs = [
-            (coeff(p_right, k), coeff(q_right, k)) for k in range(deg + 1)
-        ]
-        candidates = None
-        for a_k, b_k in pairs:
-            if a_k == 0.0 and b_k == 0.0:
-                continue
-            combo = a_k * p_left - b_k * q_left
-            if combo.is_zero():
-                continue
-            candidates = combo.real_roots()
-            break
-        if candidates is None:
+        # lines where p_left(c) a_k = q_left(c) b_k for the coefficients a_k of
+        # p_right and b_k of q_right; exact pairs keep the combinations exact,
+        # so real_roots can find their multiple roots
+        pairs = list(zip_longest(p_right.coeffs, q_right.coeffs, fillvalue=0))
+        combos = (a * p_left - b * q_left for a, b in pairs)
+        combo = next((c for c in combos if not c.is_zero()), None)
+        if combo is None:
             return []
         out = []
-        for c in candidates:
-            ok = True
+        for c in combo.real_roots():
             pl, ql = float(p_left(c)), float(q_left(c))
-            for a_k, b_k in pairs:
-                resid = abs(pl * a_k - ql * b_k)
-                m = max(1.0, abs(pl * a_k), abs(ql * b_k))
-                if resid > 1e-9 * m:
-                    ok = False
-                    break
-            if ok and not any(abs(c - prior) < 1e-10 for prior in out):
+            if any(abs(pl * a - ql * b) > 1e-9 * max(1.0, abs(pl * a), abs(ql * b)) for a, b in pairs):
+                continue
+            if not any(abs(c - prior) < 1e-10 for prior in out):
                 out.append(c)
         return out
 
@@ -661,7 +644,7 @@ def _march_windows(surf, p, tols, h):
     way.  Returns (points, tangents), (n, 5, 2) each and ordered by offset,
     and the mask of rows whose window exists.  Failed rows stop marching.
     """
-    tol = np.maximum(1e-13, tols.sing * 1e-4)
+    tol = _newton_tol(tols.sing)
     travel = 10 * h
     points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
     q0, ok, jet = _newton_project_rows(surf, p, tol, travel)
@@ -761,7 +744,7 @@ def _classify_points(curve, pts) -> list:
     conditions; degenerate gradient; then the front criteria det(gamma', eta)
     and its arc-length derivative on a five-point window marched along the
     singular curve.  Each stage runs once, on the array of rows that reach
-    it.  An entry is None where the window or its null field does not exist.
+    it.  The tag is None where the window or its null field does not exist.
     """
     p = _rows(pts)
     if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
@@ -782,11 +765,9 @@ def _classify_points(curve, pts) -> list:
     tags[rows[branch]] = TAG_BRANCH
     rows = rows[~branch]
 
-    kinds = _fnf_kind(surf, u[rows], v[rows], tols.rows(rows))
-    fnf = np.array([k is not None for k in kinds], dtype=bool)
+    fnf, a, b, ok, _ = _fnf_psi(surf, p, tols, rows)
     line = rows[fnf]
     tags[line] = TAG_FRONTAL_NOT_FRONT
-    a, b, ok = _psi_windows(surf, p[line], tols.rows(line), kinds[fnf])
     psi0[line[ok]], dpsi0[line[ok]] = a[ok].tolist(), b[ok].tolist()
     rows = rows[~fnf]
     tags[rows[degenerate[rows]]] = TAG_DEGENERATE_OTHER
@@ -806,7 +787,7 @@ def _classify_points(curve, pts) -> list:
     det0[rows], ddet[rows] = d.tolist(), dd.tolist()
 
     return [
-        None if tag is None else SingularClass(
+        SingularClass(
             tag=tag, point=(pu, pv), degenerate=deg,
             evidence=Evidence(density=lm, grad_norm=g, det_ge=d0, ddet_ge=dd0,
                               psi0=s0, dpsi0=ds0, lift_rank=r),
@@ -829,7 +810,7 @@ def classify_point(curve, p, traced=None) -> SingularClass:
     cls = _classify_points(curve, [p])[0]
     u, v = float(p[0]), float(p[1])
     # the snap check guards the front criteria, the rows that carry det_ge
-    if traced is not None and (cls is None or cls.evidence.det_ge is not None):
+    if traced is not None and (cls.tag is None or cls.evidence.det_ge is not None):
         h = 0.01 * max(1.0, abs(u), abs(v))
         cell = max(
             float(np.hypot(*np.ptp(sc.points, axis=0))) / max(len(sc) - 1, 1)
@@ -838,7 +819,7 @@ def classify_point(curve, p, traced=None) -> SingularClass:
         nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
         if not (np.hypot(nodes[:, 0] - u, nodes[:, 1] - v) <= max(4 * cell, 4 * h)).any():
             raise TraceRequired(f"({u}, {v}) is not on a traced singular curve")
-    if cls is None:
+    if cls.tag is None:
         raise TraceRequired(f"no smooth non-degenerate singular curve through {(u, v)}")
     return cls
 
@@ -863,21 +844,31 @@ _PSI_H = 0.01
 
 
 def _psi_windows(surf, p, tols, kinds):
-    """(Psi(0), Psi'(0), ok) at the singular rows of p; see `ccr_psi`.
+    """(Psi(0), Psi'(0), ok, centre frames) at the singular rows of p; see `ccr_psi`.
 
     kinds: the frontal-not-front kind of each row, whose window is the exact
     null line, or None for a marched window.  ok marks the rows whose window
-    exists; the values of the others are meaningless.
+    exists; the values of the others are meaningless.  The centre frames are
+    the `_lift_frames` of the ok rows at their window's centre.
     """
     if not len(p):  # most curves have no frontal-not-front rows
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool)
+        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), [np.zeros((0, 3))] * 5
     points, dirs, etas, ok = _windows(surf, p, tols, np.full(len(p), _PSI_H), kinds)
     rows = np.flatnonzero(ok)
     flat = points[rows].reshape(-1, 2)
     frames = [f.reshape(len(rows), 5, 3) for f in _lift_frames(surf, flat[:, 0], flat[:, 1])]
     psis = np.zeros((len(p), 5))
     psis[rows] = _psi_values(frames, dirs[rows], etas[rows])
-    return psis[:, 2], _stencil_derivative(psis.T, _PSI_H), ok
+    return psis[:, 2], _stencil_derivative(psis.T, _PSI_H), ok, [f[:, 2] for f in frames]
+
+
+def _fnf_psi(surf, p, tols, rows):
+    """(fnf, Psi(0), Psi'(0), ok, centre frames): the mask of the
+    frontal-not-front rows among the singular rows of p, and `_psi_windows`
+    along their null lines."""
+    kinds = _fnf_kind(surf, p[rows, 0], p[rows, 1], tols.rows(rows))
+    fnf = np.array([k is not None for k in kinds], dtype=bool)
+    return (fnf, *_psi_windows(surf, p[rows[fnf]], tols.rows(rows[fnf]), kinds[fnf]))
 
 
 def ccr_psi(curve, p):
@@ -894,18 +885,18 @@ def ccr_psi(curve, p):
     lam, _, _ = surf.density_jet(q[:, 0], q[:, 1])
     if np.abs(lam[0]) > tols.sing[0]:
         raise NotSingular(f"({q[0, 0]}, {q[0, 1]}) is not singular")
-    kinds = _fnf_kind(surf, q[:, 0], q[:, 1], tols)
-    psi0, dpsi0, ok = _psi_windows(surf, q, tols, kinds)
+    psi0, dpsi0, ok, _ = _psi_windows(surf, q, tols, _fnf_kind(surf, q[:, 0], q[:, 1], tols))
     if not ok[0]:
         raise TraceRequired(f"no five-point window along a singular curve through {tuple(p)}")
     return float(psi0[0]), float(dpsi0[0])
 
 
+@functools.cache
 def ccr_psi_control():
     """Same test on the frontal (u, v^2, u v^3), which has nonzero Psi'(0).
 
     A hand-built normal frame stands in for the surface jets; this is the
-    non-vacuity control for the obstruction test.
+    non-vacuity control for the obstruction test.  A constant, computed once.
     """
 
     def normal(u, v):
@@ -928,6 +919,28 @@ def ccr_psi_control():
     etas = np.tile([0.0, 1.0], (5, 1))
     psis = _psi_values(frames, directions, etas)
     return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
+
+
+def _null_line_psi(curve, domain):
+    """(Psi'(0), scale) at the frontal-not-front samples of the exact null
+    lines whose window exists: the points and the Jacobian scale of the ccr
+    suite.  Every line gets 48 evenly spaced points, of which every ninth
+    from the ninth on is a sample.  scale is max(1, |d x| |d nu|), with the
+    Frobenius norms of the 3x2 Jacobians of position and unit normal taken
+    from the frames the windows computed at their centres.
+    """
+    surf = compile_surface(curve)
+    lines = [] if surf.density_is_zero else _null_lines(curve, domain, 48)
+    if not lines:
+        return np.zeros(0), np.zeros(0)
+    p = np.concatenate([pts[9::9] for _, pts in lines])
+    tols = _point_tols(curve, p)
+    lam, _, _ = surf.density_jet(p[:, 0], p[:, 1])
+    singular = np.flatnonzero(~(np.abs(lam) > tols.sing))
+    _, _, dpsi0, ok, (x_u, x_v, _, n_u, n_v) = _fnf_psi(surf, p, tols, singular)
+    # Frobenius norms, summed in np.linalg.norm's order
+    jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x_u, x_v), (n_u, n_v)))
+    return dpsi0[ok], np.maximum(1.0, np.sqrt(_dot(jac_x, jac_x)) * np.sqrt(_dot(jac_n, jac_n)))
 
 
 # -- swallowtail search ----------------------------------------------------------
@@ -967,7 +980,7 @@ def _node_dets(surf, pts, tangents, degenerate):
 
 def _project_or_keep(surf, curve, q):
     """Rows of q Newton-projected onto {lam = 0}; a row whose projection fails stays put."""
-    tol = np.maximum(1e-13, _point_tols(curve, q).sing * 1e-4)
+    tol = _newton_tol(_point_tols(curve, q).sing)
     proj, ok, _ = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
     return np.where(ok[:, None], proj, q)
 
@@ -1013,10 +1026,10 @@ def _swallowtail_roots(surf, curve, traced):
 
 def _swallowtails(roots, classes):
     """(point, class) of the roots classed as swallowtails, in root order, but
-    a root within 1e-6 of one kept before it; a root without a window is dropped."""
+    a root within 1e-6 of one kept before it."""
     found = []
     for q, cls in zip(roots, classes):
-        if cls is None or cls.tag != TAG_SWALLOWTAIL:
+        if cls.tag != TAG_SWALLOWTAIL:
             continue
         if not any(np.hypot(*(q - prev)) < 1e-6 for prev, _ in found):
             found.append((q, cls))
@@ -1047,37 +1060,20 @@ def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict
     nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
     roots = _swallowtail_roots(compile_surface(curve), curve, traced)
     classes = _classify_points(curve, np.concatenate([nodes, roots, _rows(probes)]))
-    points = []
-
-    def add(p, cls):
-        points.append(
-            {
-                "u": float(p[0]),
-                "v": float(p[1]),
-                "class": cls.tag,
-                "degenerate": cls.degenerate,
-                "evidence": cls.evidence.as_dict(),
-            }
-        )
-
-    # a node without a window is dropped
-    for q, cls in zip(nodes, classes):
-        if cls is not None:
-            add(q, cls)
-    for q, cls in _swallowtails(roots, classes[len(nodes):len(nodes) + len(roots)]):
-        add(q, cls)
+    # a node without a window is dropped, and a probe without one is
+    # FrontUnclassified with only its density evidence
+    entries = [(q, cls) for q, cls in zip(nodes, classes) if cls.tag is not None]
+    entries += _swallowtails(roots, classes[len(nodes):len(nodes) + len(roots)])
     for q, cls in zip(probes, classes[len(nodes) + len(roots):]):
-        if cls is None:
-            cls = SingularClass(
-                tag=TAG_FRONT_UNCLASSIFIED,
-                point=(float(q[0]), float(q[1])),
-                evidence=Evidence(
-                    density=float(area_density(curve, q)),
-                    grad_norm=float(np.hypot(*grad_density(curve, q))),
-                ),
-                degenerate=False,
-            )
-        add(q, cls)
+        if cls.tag is None:
+            evidence = Evidence(density=cls.evidence.density, grad_norm=cls.evidence.grad_norm)
+            cls = SingularClass(TAG_FRONT_UNCLASSIFIED, cls.point, evidence, degenerate=False)
+        entries.append((q, cls))
+    points = [
+        {"u": float(q[0]), "v": float(q[1]), "class": cls.tag, "degenerate": cls.degenerate,
+         "evidence": cls.evidence.as_dict()}
+        for q, cls in entries
+    ]
 
     return {
         "curve": curve_to_json(curve),

@@ -280,11 +280,13 @@ class Surface:
         c_k conj(c_l) of the coefficient vectors of F' and G' agree.  In the
         split ring c_k conj(c_l) carries rho_k sigma_l and sigma_k rho_l of
         the d'Alembert split, so this is rF' (x) sF' = rG' (x) sG' there.
-        Products are compared pair by pair, a missing coefficient counting
-        as 0, up to the first pair that differs.  Exact for exact curves.
+        The coefficient of z^(k-1) in P' is k P_k, and the factor k l is
+        common to both sides, so the products of the coefficients of F and G
+        from index 1 on are compared instead, pair by pair, a missing
+        coefficient counting as 0, up to the first pair that differs.  Exact
+        for exact curves.
         """
-        f = self.curve.F.derivative().coeffs
-        g = self.curve.G.derivative().coeffs
+        f, g = self.curve.F.coeffs[1:], self.curve.G.coeffs[1:]
 
         def product(c, k, m):
             return c[k] * c[m].conjugate() if k < len(c) and m < len(c) else 0

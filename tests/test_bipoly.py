@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from affsphere.bipoly import BiPoly, expand_planar_poly
 from affsphere.paracomplex import ComplexPoly, ParaPoly
 
-U = BiPoly.var_u()
-V = BiPoly.var_v()
+U = BiPoly({(1, 0): 1})
+V = BiPoly({(0, 1): 1})
 
 
 def test_ring_basics():

@@ -3,19 +3,31 @@
 Every single-underscore function, method or class in the package must be
 named somewhere in the package outside its own definition; a private helper
 that nothing in ``src/affsphere`` calls serves only tests and is deleted.
+Every public function, method, class and module constant must be named by
+package code, ``perfbench/``, ``demos/`` or ``affsphere.__all__``.
 """
 
 import ast
 from collections import Counter
+from fnmatch import fnmatch
 from pathlib import Path
 
 import affsphere
 
 SRC = Path(affsphere.__file__).parent
+# the benchmark and the demos are the package's in-repo users
+ROOT = Path(__file__).resolve().parents[1]
+USER_TREES = (ROOT / "perfbench", ROOT / "demos")
 
 # private definitions kept although no package code names them, with the reason
 ALLOWED_UNREFERENCED = {
     "_bracket_root": "one-lane harness of the brentq-equality tests of the lane solver",
+}
+
+
+# public definitions kept although no code names them (fnmatch patterns), with the reason
+ALLOWED_UNREFERENCED_PUBLIC = {
+    "cmd_*": "main dispatches the subcommands by name, as cmd_<command>",
 }
 
 
@@ -64,3 +76,50 @@ def test_public_names_sorted_unique_and_resolvable():
     assert names == sorted(set(names))
     missing = [name for name in names if not hasattr(affsphere, name)]
     assert not missing, f"__all__ names missing from the package: {missing}"
+
+
+def _public_definitions(tree):
+    """(name, node) of the module's public functions, classes and constants,
+    and of the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
+
+
+def _unreferenced_public_definitions():
+    defs = {}  # name -> "file:line" of its first definition
+    uses = Counter()
+    paths = sorted(SRC.glob("*.py"))
+    for tree_root in USER_TREES:
+        paths += sorted(tree_root.glob("*.py"))
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses.update(_names(tree))
+        if path.parent != SRC:
+            continue
+        for name, node in _public_definitions(tree):
+            if name.startswith("_"):
+                continue
+            defs.setdefault(name, f"{path.name}:{node.lineno}")
+            # the definition naming itself (its target, or recursion) is not a use
+            uses[name] -= sum(n == name for n in _names(node))
+    return sorted(
+        f"{name} ({where})"
+        for name, where in defs.items()
+        if uses[name] <= 0 and name not in affsphere.__all__
+        and not any(fnmatch(name, pattern) for pattern in ALLOWED_UNREFERENCED_PUBLIC)
+    )
+
+
+def test_every_public_definition_is_named_by_its_users():
+    unused = _unreferenced_public_definitions()
+    assert not unused, f"public definitions no package, perfbench or demo code names: {unused}"

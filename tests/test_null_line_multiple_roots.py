@@ -1,0 +1,46 @@
+"""Null lines that are multiple roots of the line polynomials.
+
+F = (z - c)^m, G = (z - c)^(m+1) is (z^m, z^(m+1)) translated by c, so on the
+translated domain it must have the same singular set: the null lines
+u + v = c and u - v = c, and the same tags.  In null coordinates its density
+carries the factor (a - c)^(m-1) (b - c)^(m-1), so the line constants are
+(m-1)-fold roots, which the companion matrix splits into clusters.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from affsphere.paracomplex import ParaPoly, Poly1
+from affsphere.singularities import classification_report, trace_singular_curves
+from affsphere.surfaces import Domain, ParaCurve
+
+# (FrontalNotFront, CuspidalEdge, Swallowtail) of (z^m, z^(m+1)) on [-1, 1]^2 at res 64
+TAGS = {3: (128, 116, 1), 4: (128, 104, 1), 5: (128, 92, 1)}
+
+
+def _shifted_power(m, c):
+    return ParaPoly([comb(m, k) * (-c) ** (m - k) for k in range(m + 1)])
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(3, 10), Fraction(-2, 5)], ids=str)
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_translated_power_pair_keeps_its_null_lines_and_tags(m, c):
+    curve = ParaCurve(_shifted_power(m, c), _shifted_power(m + 1, c))
+    domain = Domain(-1 + float(c), 1 + float(c), -1, 1)
+    lines = [sc.line for sc in trace_singular_curves(curve, domain, 64) if sc.kind == "null-line"]
+    assert sorted(kind for kind, _ in lines) == ["difference", "sum"]
+    assert all(abs(value - c) <= 1e-12 for _, value in lines)
+    tags = Counter(p["class"] for p in classification_report(curve, domain, 64)["points"])
+    assert (tags["FrontalNotFront"], tags["CuspidalEdge"], tags["Swallowtail"]) == TAGS[m]
+    assert sum(tags.values()) == sum(TAGS[m])
+
+
+def test_real_roots_of_an_exact_multiple_root_once():
+    # (t - 1/3)^2 (t + 2): the double root splits off the real axis in np.roots
+    p = Poly1([Fraction(2, 9), Fraction(-11, 9), Fraction(4, 3), 1])
+    roots = p.real_roots()
+    assert len(roots) == 2
+    assert abs(roots[0] + 2) <= 1e-12 and abs(roots[1] - 1 / 3) <= 1e-12

@@ -270,6 +270,16 @@ def test_ccr_control_is_not_vacuous():
     assert abs(dpsi0) > 1e-3
 
 
+def test_ccr_control_is_computed_once_per_process(monkeypatch):
+    first = sg.ccr_psi_control()
+
+    def recomputed(*args):
+        raise AssertionError("ccr_psi_control ran its frames again")
+
+    monkeypatch.setattr(sg, "_psi_values", recomputed)
+    assert sg.ccr_psi_control() == first
+
+
 def test_ccr_errors():
     with pytest.raises(sg.NotSingular):
         sg.ccr_psi(QUAD_CUBIC, (0.3, 0.0))
