@@ -215,7 +215,8 @@ class Surface:
     ``chart_derivatives`` and the Jet2 views) use planar Horner on Python
     floats.  On arrays of points the three make one Horner pass over a
     table stacking the lists they need (``_eval``), bit for bit the
-    per-point values (``_horner``); grids use dense coefficient tables.
+    per-point values (``_horner``); grids run tensor Horner over dense
+    (u, v) coefficient tables (``grid_tables``, ``sample_grid``).
     The exact bivariate fields x1, x2, phi, n1, n2, density (``fields``)
     and the component derivatives f1u, f2u, g1u, g2u (``extras``) are
     BiPolys built on first access, exact whenever the curve is exact.
@@ -339,7 +340,8 @@ class Surface:
 
     def _density(self, u, v):
         """s (|F'|^2 - |G'|^2) at scalars or broadcasting arrays, same operations for both;
-        a pass per list, as a stacked pass of the two was up to 1.4x slower on density_grid's blocks."""
+        a pass per list, as a stacked pass of the two took 0.9-1.5x its time on
+        density_grid's blocks (degree 16, 256^2 and 1024^2, both in place)."""
         s = self.unit_sq
         return s * _mod_diff(*(_horner(self._horner[k], u, v, s) for k in (1, 4)), s)
 
@@ -538,15 +540,36 @@ def _horner(cs, u, v, s):
 
     cs: ring coordinates of the coefficients, highest degree first.  For
     s = -1 this is complex Horner on (re, im); for s = +1 it is real Horner
-    of alpha at u + v and of beta at u - v.  Python floats and broadcasting
-    numpy arrays run the same IEEE operations, so an array entry equals the
-    scalar value at that node bit for bit.  cs may also be a stacked table
-    (`Surface._stacked`) whose rows hold several polynomials' coefficients,
-    zero-padded at the top: at a finite point a padded step gives
-    0.0 * a + 0.0 = +0.0 (for s = -1, a sum of signed zeros plus 0.0 = +0.0),
-    the value Horner starts from, so each polynomial's entries still equal its own
-    pass; a non-finite point gives NaN at the first step either way.
+    of alpha at u + v and of beta at u - v.  On arrays the steps run in
+    place (`_horner_real`; for s = -1 on two buffers started at zeros, with
+    two scratch buffers that rotate), each the IEEE operation of the
+    Python-float route in its order up to swapping the operands of a sum, so
+    an array entry equals the scalar value at that node bit for bit.  cs may
+    also be a stacked table (`Surface._stacked`) whose rows hold several
+    polynomials' coefficients, zero-padded at the top: at a finite point a
+    padded step gives 0.0 * a + 0.0 = +0.0 (for s = -1, a sum of signed zeros
+    plus 0.0 = +0.0), the value Horner starts from, so each polynomial's
+    entries still equal its own pass; a non-finite point gives NaN at the
+    first step either way.
     """
+    if getattr(u, "ndim", 0) or getattr(v, "ndim", 0):
+        if s > 0:
+            ps, qs = zip(*cs)
+            return _horner_real(ps, u + v), _horner_real(qs, u - v)
+        shape = np.broadcast_shapes(np.shape(cs[0][0]), np.shape(u), np.shape(v))
+        x, y = np.zeros((2, *shape))
+        xu, yv = np.empty((2, *shape))
+        for p, q in cs:
+            np.multiply(x, u, out=xu)
+            np.multiply(y, v, out=yv)
+            xu -= yv
+            xu += p  # x u - y v + p
+            x *= v
+            y *= u
+            y += x
+            y += q  # x v + y u + q
+            x, xu = xu, x
+        return x, y
     x = y = 0.0
     if s > 0:
         a, b = u + v, u - v
@@ -556,6 +579,18 @@ def _horner(cs, u, v, s):
     for p, q in cs:
         x, y = x * u - y * v + p, x * v + y * u + q
     return x, y
+
+
+def _horner_real(cs, a):
+    """Real Horner of the coefficients cs, highest degree first, at the array a,
+    in one output array: numpy polyval's steps, c + a * 0 and then out * a + c
+    per coefficient, with no temporary of the output's size.  The first step
+    equals the 0.0 * a + c of Horner from 0.0, the start of `_horner`."""
+    out = cs[0] + 0.0 * a
+    for c in cs[1:]:
+        out *= a
+        out += c
+    return out
 
 
 def _planar_partials(p0, p1, p2, s):
@@ -754,13 +789,16 @@ def sample_grid(curve, domain: Domain, res) -> SurfaceGrid:
     """Evaluate the surface fields on a res[0] x res[1] grid over the domain."""
     nu, nv = int(res[0]), int(res[1])
     u_axis, v_axis = domain.axes(nu, nv)
-    # Dense tables, not the Horner kernel of the points: over 24 field-eval
-    # curves at 256^2, Horner in _BLOCK_NODES row blocks was 3.8-4.1x slower
-    # for the same values to 3e-11 relative.  density_grid stays on Horner,
-    # as the trace needs its signs to match the point density bit for bit.
+    # Tensor Horner over dense (u, v) tables, along u and then along v, each
+    # stage numpy polyval's steps in place (_horner_real): polygrid2d's bits.
+    # Over 24 field-eval curves at 256^2 this took 0.25 s against 0.39 s for
+    # polygrid2d, and the point kernel's F, G, K and density alone in
+    # _BLOCK_NODES row blocks 0.74 s (0.9-1.7x per indefinite curve, 3.6-6.5x
+    # per lsc one).  density_grid stays on the point kernel, as the trace
+    # needs its signs to match the point density bit for bit.
     tables = compile_surface(curve).grid_tables
     values = {
-        name: np.polynomial.polynomial.polygrid2d(u_axis, v_axis, table)
+        name: _horner_real(_horner_real(table[::-1, :, None], u_axis)[::-1, :, None], v_axis)
         for name, table in tables.items()
     }
     return SurfaceGrid(curve=curve, domain=domain, u_axis=u_axis, v_axis=v_axis, **values)
