@@ -340,8 +340,7 @@ class Surface:
 
     def _density(self, u, v):
         """s (|F'|^2 - |G'|^2) at scalars or broadcasting arrays, same operations for both;
-        a pass per list, as a stacked pass of the two took 0.9-1.5x its time on
-        density_grid's blocks (degree 16, 256^2 and 1024^2, both in place)."""
+        a pass per list, as a stacked pass of the two was up to 1.4x slower on density_grid's blocks."""
         s = self.unit_sq
         return s * _mod_diff(*(_horner(self._horner[k], u, v, s) for k in (1, 4)), s)
 
@@ -540,36 +539,15 @@ def _horner(cs, u, v, s):
 
     cs: ring coordinates of the coefficients, highest degree first.  For
     s = -1 this is complex Horner on (re, im); for s = +1 it is real Horner
-    of alpha at u + v and of beta at u - v.  On arrays the steps run in
-    place (`_horner_real`; for s = -1 on two buffers started at zeros, with
-    two scratch buffers that rotate), each the IEEE operation of the
-    Python-float route in its order up to swapping the operands of a sum, so
-    an array entry equals the scalar value at that node bit for bit.  cs may
-    also be a stacked table (`Surface._stacked`) whose rows hold several
-    polynomials' coefficients, zero-padded at the top: at a finite point a
-    padded step gives 0.0 * a + 0.0 = +0.0 (for s = -1, a sum of signed zeros
-    plus 0.0 = +0.0), the value Horner starts from, so each polynomial's
-    entries still equal its own pass; a non-finite point gives NaN at the
-    first step either way.
+    of alpha at u + v and of beta at u - v.  Python floats and broadcasting
+    numpy arrays run the same IEEE operations, so an array entry equals the
+    scalar value at that node bit for bit.  cs may also be a stacked table
+    (`Surface._stacked`) whose rows hold several polynomials' coefficients,
+    zero-padded at the top: at a finite point a padded step gives
+    0.0 * a + 0.0 = +0.0 (for s = -1, a sum of signed zeros plus 0.0 = +0.0),
+    the value Horner starts from, so each polynomial's entries still equal its own
+    pass; a non-finite point gives NaN at the first step either way.
     """
-    if getattr(u, "ndim", 0) or getattr(v, "ndim", 0):
-        if s > 0:
-            ps, qs = zip(*cs)
-            return _horner_real(ps, u + v), _horner_real(qs, u - v)
-        shape = np.broadcast_shapes(np.shape(cs[0][0]), np.shape(u), np.shape(v))
-        x, y = np.zeros((2, *shape))
-        xu, yv = np.empty((2, *shape))
-        for p, q in cs:
-            np.multiply(x, u, out=xu)
-            np.multiply(y, v, out=yv)
-            xu -= yv
-            xu += p  # x u - y v + p
-            x *= v
-            y *= u
-            y += x
-            y += q  # x v + y u + q
-            x, xu = xu, x
-        return x, y
     x = y = 0.0
     if s > 0:
         a, b = u + v, u - v
@@ -584,8 +562,7 @@ def _horner(cs, u, v, s):
 def _horner_real(cs, a):
     """Real Horner of the coefficients cs, highest degree first, at the array a,
     in one output array: numpy polyval's steps, c + a * 0 and then out * a + c
-    per coefficient, with no temporary of the output's size.  The first step
-    equals the 0.0 * a + c of Horner from 0.0, the start of `_horner`."""
+    per coefficient, with no temporary of the output's size."""
     out = cs[0] + 0.0 * a
     for c in cs[1:]:
         out *= a
@@ -791,11 +768,11 @@ def sample_grid(curve, domain: Domain, res) -> SurfaceGrid:
     u_axis, v_axis = domain.axes(nu, nv)
     # Tensor Horner over dense (u, v) tables, along u and then along v, each
     # stage numpy polyval's steps in place (_horner_real): polygrid2d's bits.
-    # Over 24 field-eval curves at 256^2 this took 0.25 s against 0.39 s for
-    # polygrid2d, and the point kernel's F, G, K and density alone in
-    # _BLOCK_NODES row blocks 0.74 s (0.9-1.7x per indefinite curve, 3.6-6.5x
-    # per lsc one).  density_grid stays on the point kernel, as the trace
-    # needs its signs to match the point density bit for bit.
+    # Over 24 field-eval curves at 256^2 this took 0.25-0.28 s against
+    # 0.39-0.43 s for polygrid2d, and the point kernel's F, G, K and density
+    # alone in _BLOCK_NODES row blocks 1.56 s (3.8-7.2x per curve).
+    # density_grid stays on the point kernel, as the trace needs its signs to
+    # match the point density bit for bit.
     tables = compile_surface(curve).grid_tables
     values = {
         name: _horner_real(_horner_real(table[::-1, :, None], u_axis)[::-1, :, None], v_axis)
