@@ -190,7 +190,7 @@ def cmd_verify(args) -> int:
     curve = io.load_curve(args.curve)
     domain = Domain.parse(args.domain)
     _parse_res(args.res)  # checked only: the graph patch of monge_ampere and lift is 20x20
-    names = [s.strip() for s in args.suites.split(",") if s.strip()]
+    names = list(dict.fromkeys(s.strip() for s in args.suites.split(",") if s.strip()))
     unknown = [s for s in names if s not in SUITES]
     if unknown:
         raise InvalidDomain(f"unknown suite name(s): {', '.join(unknown)}")

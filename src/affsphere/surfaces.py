@@ -33,6 +33,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -216,7 +218,8 @@ class Surface:
     floats.  On arrays of points the three make one Horner pass over a
     table stacking the lists they need (``_eval``), bit for bit the
     per-point values (``_horner``); grids run tensor Horner over dense
-    (u, v) coefficient tables (``grid_tables``, ``sample_grid``).
+    (u, v) coefficient tables (``grid_tables``), the fields concurrently,
+    each with a serial run's steps and so its bits (``sample_grid``).
     The exact bivariate fields x1, x2, phi, n1, n2, density (``fields``)
     and the component derivatives f1u, f2u, g1u, g2u (``extras``) are
     BiPolys built on first access, exact whenever the curve is exact.
@@ -768,14 +771,40 @@ def sample_grid(curve, domain: Domain, res) -> SurfaceGrid:
     u_axis, v_axis = domain.axes(nu, nv)
     # Tensor Horner over dense (u, v) tables, along u and then along v, each
     # stage numpy polyval's steps in place (_horner_real): polygrid2d's bits.
-    # Over 24 field-eval curves at 256^2 this took 0.25-0.28 s against
-    # 0.39-0.43 s for polygrid2d, and the point kernel's F, G, K and density
-    # alone in _BLOCK_NODES row blocks 1.56 s (3.8-7.2x per curve).
-    # density_grid stays on the point kernel, as the trace needs its signs to
-    # match the point density bit for bit.
+    # The fields run concurrently, longest v-stage first, each with a serial
+    # run's steps and so its bits.  density_grid stays on the point kernel,
+    # as the trace needs its signs to match the point density bit for bit.
     tables = compile_surface(curve).grid_tables
-    values = {
-        name: _horner_real(_horner_real(table[::-1, :, None], u_axis)[::-1, :, None], v_axis)
-        for name, table in tables.items()
-    }
+    names = sorted(tables, key=lambda name: -tables[name].shape[1])
+    def field(name):
+        return _horner_real(_horner_real(tables[name][::-1, :, None], u_axis)[::-1, :, None], v_axis)
+    values = dict(zip(names, _fan_out(field, names)))
     return SurfaceGrid(curve=curve, domain=domain, u_axis=u_axis, v_axis=v_axis, **values)
+
+
+def _fan_out(fn, items):
+    """[fn(item) for item in items] on the caller and up to one thread per other usable CPU
+    (the affinity mask where the OS has one), taking indices from one iterator (each next()
+    is atomic under the GIL) under the caller's numpy error state.  All threads are joined
+    before the first exception raised in any of them is re-raised."""
+    results, errors, todo = [None] * len(items), [], iter(range(len(items)))
+    errstate = dict(np.geterr(), call=np.geterrcall())  # new threads start at numpy's defaults
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    def work():
+        try:
+            with np.errstate(**errstate):
+                for i in todo:
+                    results[i] = fn(items[i])
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+    helpers = [threading.Thread(target=work) for _ in range(min(len(items), cpus) - 1)]
+    try:
+        for thread in helpers:
+            thread.start()
+        work()
+    finally:
+        for thread in filter(threading.Thread.is_alive, helpers):
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
