@@ -4,8 +4,9 @@ The exact output of a surface: ``Surface.fields``, ``Surface.extras`` and
 ``graph_potential`` are BiPolys in (u, v), built on request by the surfaces
 module's closed forms from ``expand_planar_poly`` of F, G, F', G' and K.
 Exactness is preserved whenever the inputs are exact.  Float evaluation of a
-surface does not go through this module; surfaces.py evaluates fields from
-the univariate curve data.  A BiPoly evaluates float points and arrays alike
+surface does not go through this module but for its grid tables, which read
+the one z**k -> u**(k-j) v**j expansion table (``_basis``), as
+``expand_planar_poly`` does.  A BiPoly evaluates float points and arrays alike
 with numpy's polyval2d on one dense float table, and exact points exactly.
 
 Exact products convolve integer numerators over a common denominator and
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -206,19 +208,33 @@ def _numerators(c):
     return den, nums, frac
 
 
+@lru_cache(maxsize=None)
+def _basis(n, s):
+    """Change of basis from z**k to u**(k-j) v**j for k < n, with e**j = s**(j//2) e**(j%2).
+
+    Row and column indices of the table entries, the source index k, whether
+    re (even j) or im (odd j) feeds the real part, and the int64 weights
+    C(k, j) s**((j+1)//2) of the real part and C(k, j) s**(j//2) of the unit
+    part, exact up to C(64, 32) (K's degree 64), whose float64 is float(int).
+    """
+    s = int(s)  # the weights stay int although 1 and 1.0 are one cache key
+    k, j = np.tril_indices(n)
+    binom = np.array([math.comb(a, b) for a, b in zip(k.tolist(), j.tolist())], dtype=np.int64)
+    return k - j, j, k, j % 2 == 0, binom * s ** ((j + 1) // 2), binom * s ** (j // 2)
+
+
 def expand_planar_poly(poly):
     """Expand a ParaPoly/ComplexPoly into its two real bivariate components.
 
     Returns (real_part, unit_part) as BiPoly in (u, v), written directly from
-    the binomial terms C(k, j) u**(k-j) (e v)**j of z**k with
-    e**j = s**(j//2) e**(j%2), where (a + e b) e = s b + e a.  Each coefficient
-    is one product with an integer, so exact coefficients stay exact.
+    the binomial terms C(k, j) u**(k-j) (e v)**j of z**k (``_basis``), where
+    (a + e b) e = s b + e a.  Each coefficient is one product with an integer,
+    so exact coefficients stay exact.
     """
-    s = poly.SCALAR.UNIT_SQ
+    c = poly.coeffs
     re, im = {}, {}
-    for k, c in enumerate(poly.coeffs):
-        for j in range(k + 1):
-            a, b = (s * c.im, c.re) if j % 2 else (c.re, c.im)
-            w = math.comb(k, j) * s ** (j // 2)
-            re[k - j, j], im[k - j, j] = a * w, b * w
+    basis = (a.tolist() for a in _basis(len(c), poly.SCALAR.UNIT_SQ))
+    for i, j, k, even, w_re, w_im in zip(*basis):
+        a, b = (c[k].re, c[k].im) if even else (c[k].im, c[k].re)
+        re[i, j], im[i, j] = a * w_re, b * w_im
     return BiPoly(re), BiPoly(im)

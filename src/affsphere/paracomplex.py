@@ -25,7 +25,10 @@ def scalar_from_text(text):
     JSON NaN and Infinity load as floats; they are refused here.
     """
     if isinstance(text, str):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"coefficient {text!r} has a zero denominator") from None
     if isinstance(text, bool):
         raise ValueError("boolean is not a polynomial coefficient")
     if isinstance(text, int):

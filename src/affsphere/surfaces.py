@@ -22,11 +22,11 @@ where |P|^2 = P conj(P) = p1^2 - s p2^2, H = Int_0 F dG, and
 K = G F - 2 H - G(0) F(0) = Int_0 (G dF - F dG).  K replaces the two large
 terms G F and 2 H, which cancel, by one.  A Surface keeps the univariate
 coefficient vectors of these polynomials in float and evaluates fields from
-them: points by Horner's rule in the planar ring, with partials from
-d/du P = P' and d/dv P = e P'; grids from dense (u, v) tables.  The exact
-bivariate polynomials (``Surface.fields``, ``Surface.extras``,
-``graph_potential``) are built only when first asked for, from these same
-formulas.
+them: points by Horner's rule in the planar ring (split ring: real Horner at
+u + v and u - v), partials from d/du P = P' and d/dv P = e P'; grids from
+dense (u, v) tables.  The exact bivariate polynomials (``Surface.fields``,
+``Surface.extras``, ``graph_potential``) are built only when first asked
+for, from these same formulas.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bipoly import BiPoly, expand_planar_poly
+from .bipoly import BiPoly, _basis, expand_planar_poly
 from .paracomplex import ComplexPoly, ParaPoly
 
 MAX_CURVE_DEGREE = 32
@@ -215,11 +215,13 @@ class Surface:
     The float kernel holds the coefficient vectors of F, G, F', G', F'', G''
     and K = Int (G dF - F dG).  Points (``field_jets``, ``density_jet``,
     ``chart_derivatives`` and the Jet2 views) use planar Horner on Python
-    floats.  On arrays of points the three make one Horner pass over a
-    table stacking the lists they need (``_eval``), bit for bit the
-    per-point values (``_horner``); grids run tensor Horner over dense
-    (u, v) coefficient tables (``grid_tables``), the fields concurrently,
-    each with a serial run's steps and so its bits (``sample_grid``).
+    floats, for s = +1 two passes of the grids' real Horner (``_horner_real``)
+    in the null coordinates u + v and u - v.  On arrays of points the three
+    make one Horner pass over a table stacking the lists they need
+    (``_eval``), bit for bit the per-point values (``_horner``); grids run
+    tensor Horner over dense (u, v) coefficient tables (``grid_tables``), the
+    fields concurrently, each with a serial run's steps and so its bits
+    (``sample_grid``).
     The exact bivariate fields x1, x2, phi, n1, n2, density (``fields``)
     and the component derivatives f1u, f2u, g1u, g2u (``extras``) are
     BiPolys built on first access, exact whenever the curve is exact.
@@ -238,8 +240,8 @@ class Surface:
     def _build(curve):
         """Float coefficient vectors of F, G, F', G' and K, the Horner lists and phi(0, 0).
 
-        Horner lists, highest degree first, in ring coordinates (_horner):
-        F, F', F'', G, G', G'', K, K', K''.
+        Horner lists, one column tuple per ring coordinate, highest degree
+        first (_horner): F, F', F'', G, G', G'', K, K', K''.
         """
         s = float(curve.unit_sq)
         n = max(len(curve.F.coeffs), len(curve.G.coeffs), 1)
@@ -248,7 +250,7 @@ class Surface:
         dK = _planar_mul(G, dF, s) - _planar_mul(F, dG, s)
         K = _antiderivative(dK)
         horner = [
-            list(zip(*(c[::-1].tolist() for c in _ring_coords(p[:, 0], p[:, 1], s))))
+            tuple(tuple(c[::-1].tolist()) for c in _ring_coords(p[:, 0], p[:, 1], s))
             for p in (F, dF, _derivative(dF), G, dG, _derivative(dG), K, dK, _derivative(dK))
         ]
         at_origin = [_horner(horner[k], 0.0, 0.0, s) for k in (0, 3, 6)]
@@ -305,7 +307,7 @@ class Surface:
 
         Accepted keys: x1, x2, phi, n1 or n2 mapped to a BiPoly, evaluated
         through the BiPoly; or the shorthands negate_n1 / negate_n2 /
-        scale_phi set to True, which scale the kernel's output.
+        scale_phi, which scale the kernel's output when true.
         """
         out = dict(self._patches)
         for key, val in patches.items():
@@ -314,7 +316,7 @@ class Surface:
                 out[name] = factor * out.get(name, 1)
             elif key in FIELD_NAMES and isinstance(val, BiPoly):
                 out[key] = val
-            else:
+            elif key not in _SHORTHANDS:
                 raise ValueError(f"unknown field patch {key!r}")
         return Surface(self.curve, _patches=out)
 
@@ -331,14 +333,14 @@ class Surface:
         return list(zip(x, y))
 
     def _stacked(self, ks):
-        """(steps, 2, len(ks)) table of the Horner lists ks, built on first use:
+        """(2, steps, len(ks)) table of the Horner lists ks, built on first use:
         highest degree first, shorter lists padded with zeros at the top.  See
         `_horner` for why each entry still equals its list's own Horner pass."""
         if ks not in self._tables:
             lists = [self._horner[k] for k in ks]
-            table = self._tables[ks] = np.zeros((max(map(len, lists)), 2, len(ks)))
+            table = self._tables[ks] = np.zeros((2, max(len(cs[0]) for cs in lists), len(ks)))
             for j, cs in enumerate(lists):
-                table[len(table) - len(cs):, :, j] = cs
+                table[:, -len(cs[0]):, j] = cs
         return self._tables[ks]
 
     def _density(self, u, v):
@@ -469,17 +471,13 @@ class Surface:
         products of those tables, and K is univariate first.
         """
         s = self.unit_sq
-        p = self._polys
-        f1, f2 = _planar_tables(p["F"], s)
-        g1, g2 = _planar_tables(p["G"], s)
-        ring = {"F": _ring_coords(f1, f2, s), "G": _ring_coords(g1, g2, s)}
-        for k in ("dF", "dG"):
-            ring[k] = _ring_coords(*_planar_tables(p[k], s), s)
+        tables = {name: _planar_tables(c, s) for name, c in self._polys.items()}
+        ring = {name: _ring_coords(*tables[name], s) for name in ("F", "G", "dF", "dG")}
         density = s * _mod_diff(ring["dF"], ring["dG"], s, _mul2d)
         mod_diff = _mod_diff(ring["G"], ring["F"], s, _mul2d)
-        phi = _combine((0.5, mod_diff), (-s, _planar_tables(p["K"], s)[0]))
+        phi = _combine((0.5, mod_diff), (-s, tables["K"][0]))
         phi[0, 0] = 0.0
-        x1, x2, n1, n2 = _representation(f1, f2, g1, g2, s)
+        x1, x2, n1, n2 = _representation(*tables["F"], *tables["G"], s)
         return {"x1": x1, "x2": x2, "phi": phi, "n1": n1, "n2": n2, "density": density}
 
 
@@ -540,32 +538,29 @@ def _re_im(w, s):
 def _horner(cs, u, v, s):
     """P(u + e v) in ring coordinates, Horner's rule in the ring e**2 = s.
 
-    cs: ring coordinates of the coefficients, highest degree first.  For
-    s = -1 this is complex Horner on (re, im); for s = +1 it is real Horner
-    of alpha at u + v and of beta at u - v.  Python floats and broadcasting
-    numpy arrays run the same IEEE operations, so an array entry equals the
-    scalar value at that node bit for bit.  cs may also be a stacked table
-    (`Surface._stacked`) whose rows hold several polynomials' coefficients,
+    cs: the two ring-coordinate columns of the coefficients, highest degree
+    first.  For s = +1, alpha and beta: two real Horner passes (`_horner_real`)
+    in the null coordinates u + v and u - v; for s = -1, complex Horner on
+    (re, im).  Floats and broadcasting arrays run the same IEEE operations, so
+    an array entry equals the scalar value at that node bit for bit.  cs may
+    also be a stacked table (`Surface._stacked`) holding several polynomials,
     zero-padded at the top: at a finite point a padded step gives
-    0.0 * a + 0.0 = +0.0 (for s = -1, a sum of signed zeros plus 0.0 = +0.0),
-    the value Horner starts from, so each polynomial's entries still equal its own
-    pass; a non-finite point gives NaN at the first step either way.
+    0.0 + 0.0 * a = +0.0 (for s = -1, a sum of signed zeros plus 0.0 = +0.0),
+    the value Horner starts from, so each polynomial's entries still equal its
+    own pass; a non-finite point gives NaN at the first step either way.
     """
-    x = y = 0.0
     if s > 0:
-        a, b = u + v, u - v
-        for p, q in cs:
-            x, y = x * a + p, y * b + q
-        return x, y
-    for p, q in cs:
+        return _horner_real(cs[0], u + v), _horner_real(cs[1], u - v)
+    x = y = 0.0
+    for p, q in zip(*cs):
         x, y = x * u - y * v + p, x * v + y * u + q
     return x, y
 
 
 def _horner_real(cs, a):
-    """Real Horner of the coefficients cs, highest degree first, at the array a,
-    in one output array: numpy polyval's steps, c + a * 0 and then out * a + c
-    per coefficient, with no temporary of the output's size."""
+    """Real Horner of the coefficients cs, highest degree first, at a: numpy polyval's
+    steps, c + a * 0 and then out * a + c per coefficient.  In place on an array
+    (no temporary of its size); on a Python float the operators rebind to floats."""
     out = cs[0] + 0.0 * a
     for c in cs[1:]:
         out *= a
@@ -673,21 +668,6 @@ def _unit_normal_jet(nj: Jet2) -> Jet2:
     )
 
 
-@lru_cache(maxsize=None)
-def _basis(n, s):
-    """Change of basis from z**k to u**(k-j) v**j for k < n, with e**j = s**(j//2) e**(j%2).
-
-    Row and column indices of the table entries, which source component
-    (re at even j, im at odd j) feeds the real table, and the weights
-    C(k, j) s**((j+1)//2) of the real table and C(k, j) s**(j//2) of the
-    unit table.
-    """
-    k, j = np.tril_indices(n)
-    binom = np.array([math.comb(a, b) for a, b in zip(k.tolist(), j.tolist())], dtype=float)
-    even = j % 2 == 0
-    return k - j, j, k, even, binom * s ** ((j + 1) // 2), binom * s ** (j // 2)
-
-
 def _planar_tables(c, s):
     """Dense (u, v) coefficient tables (re, im) of the planar polynomial with coefficients c."""
     n = len(c)
@@ -731,10 +711,8 @@ def _exact_fields(curve):
     """
     s = curve.unit_sq
     dF, dG = curve.F.derivative(), curve.G.derivative()
-    f1, f2 = expand_planar_poly(curve.F)
-    g1, g2 = expand_planar_poly(curve.G)
-    f1u, f2u = expand_planar_poly(dF)
-    g1u, g2u = expand_planar_poly(dG)
+    (f1, f2), (g1, g2), (f1u, f2u), (g1u, g2u) = (
+        expand_planar_poly(P) for P in (curve.F, curve.G, dF, dG))
     k1, _ = expand_planar_poly((curve.G * dF - curve.F * dG).antiderivative())
     x1, x2, n1, n2 = _representation(f1, f2, g1, g2, s)
     phi = Fraction(1, 2) * _mod_diff(_ring_coords(g1, g2, s), _ring_coords(f1, f2, s), s)

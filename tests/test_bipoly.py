@@ -7,6 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affsphere import surfaces
 from affsphere.bipoly import BiPoly, expand_planar_poly
 from affsphere.paracomplex import ComplexPoly, ParaPoly
 
@@ -226,3 +227,26 @@ def test_exact_times_float_keeps_termwise_floats(p, q):
     q = q + BiPoly({(10, 10): 0.25})  # a float coefficient outside the drawn keys
     for got, want in ((p * q, _termwise_product(p, q)), (q * p, _termwise_product(q, p))):
         assert _typed(got.c) == _typed(want)
+
+
+def test_expansion_equals_the_binomial_loop_up_to_degree_64():
+    """The shared int64 expansion table gives the exact terms of z**k up to K's
+    degree 64 (C(64, 32) near 2**63), with termwise coefficient types, also
+    after the float grid tables took the same table."""
+    rng = np.random.default_rng(64)
+    for poly_cls in (ParaPoly, ComplexPoly):
+        s = poly_cls.SCALAR.UNIT_SQ
+        surfaces._planar_tables(np.ones((65, 2)), float(s))
+        poly = poly_cls([
+            (Fraction(int(a), 7), int(b)) if k % 2 else (float(a) / 3, Fraction(int(b), 5))
+            for k, (a, b) in enumerate(rng.integers(-9, 10, (65, 2)))
+        ])
+        want_re, want_im = {}, {}
+        for k, c in enumerate(poly.coeffs):
+            for j in range(k + 1):
+                a, b = (s * c.im, c.re) if j % 2 else (c.re, c.im)
+                w = math.comb(k, j) * s ** (j // 2)
+                want_re[k - j, j], want_im[k - j, j] = a * w, b * w
+        for got, want in zip(expand_planar_poly(poly), (BiPoly(want_re), BiPoly(want_im))):
+            assert got == want
+            assert [type(x) for _, x in got.terms()] == [type(x) for _, x in want.terms()]

@@ -159,6 +159,23 @@ def test_convert_coefficient_beyond_float_range_exits_2_without_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, payload", [
+    (["verify", "--curve"], {"signature": "indefinite", "F": [["0", "0"], ["1/0", "0"]],
+                             "G": [["0", "0"], ["1", "0"]]}),
+    (["convert", "--mode", "cls", "--in"], {"signature": "indefinite", "poly": [["1", "3/0"]]}),
+    (["convert", "--mode", "blaschke-inverse", "--in"],
+     {"U1": ["1", "1/0"], "V1": ["0"], "U2": ["0"], "V2": ["1"]}),
+], ids=["curve", "generator", "waves"])
+def test_zero_denominator_exits_2_without_output(tmp_path, capsys, argv, payload):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(payload))
+    out = tmp_path / "out.json"
+    assert main([*argv, str(src), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "input error" in err and "/0' has a zero denominator" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["synth", "classify", "verify"])
 def test_curve_beyond_float_limit_exits_2_without_output(tmp_path, capsys, command):
     curve = tmp_path / "curve.json"

@@ -257,3 +257,15 @@ def test_holo_curve_rejects_para_components():
         HoloCurve(ParaPoly([1]), ParaPoly([1]))
     with pytest.raises(TypeError, match="ParaCurve needs two ParaPoly components"):
         ParaCurve(ComplexPoly([1]), ComplexPoly([1]))
+
+
+@pytest.mark.parametrize("curve_cls,poly_cls", SIGNATURES, ids=["indefinite", "lsc"])
+def test_density_grid_across_blocks_equals_scalar_density(curve_cls, poly_cls):
+    # 220 x 300 nodes take two row blocks of _BLOCK_NODES (218 rows, then 2)
+    curve = _curve(np.random.default_rng(5), curve_cls, poly_cls, 9, 2.0)
+    surf = Surface(curve)
+    u_axis, v_axis = Domain(-1.5, 1.0, -1.0, 1.25).axes(220, 300)
+    assert len(u_axis) * len(v_axis) > surfaces._BLOCK_NODES
+    grid = surf.density_grid(u_axis, v_axis)
+    want = [[surf.area_density(u, v) for v in v_axis.tolist()] for u in u_axis.tolist()]
+    assert np.array_equal(grid.view(np.uint64), np.array(want).view(np.uint64))

@@ -121,3 +121,14 @@ def test_chart_solve_on_arrays_matches_lu_per_point(curve_cls, poly_cls):
         assert det[k] == pytest.approx(np.linalg.det(jac), rel=1e-12)
         assert abs(p[k] - want[0]) <= 1e-12 * max(1.0, *np.abs(want))
         assert abs(q[k] - want[1]) <= 1e-12 * max(1.0, *np.abs(want))
+
+
+@pytest.mark.parametrize("curve_cls,poly_cls", SIGNATURES, ids=["indefinite", "lsc"])
+def test_false_shorthands_patch_nothing(curve_cls, poly_cls):
+    rng = np.random.default_rng(11)
+    base = compile_surface(_random_curve(rng, curve_cls, poly_cls))
+    surf = base.with_patched_fields(negate_n1=False, negate_n2=False, scale_phi=False)
+    u, v = rng.uniform(-1.5, 1.5, 12), rng.uniform(-1.5, 1.5, 12)
+    for got, want in zip(surf.field_jets(u, v), base.field_jets(u, v)):
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, want))
+    assert surf.fields == base.fields

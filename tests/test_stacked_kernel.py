@@ -119,3 +119,30 @@ def test_mixed_scalar_points_return_python_floats(curve_cls, poly_cls):
             got = kernel(*point)
             assert all(type(x) is float for x in got), name
             assert [x.hex() for x in got] == [x.hex() for x in kernel(*map(float, point))], name
+
+
+@pytest.mark.parametrize("curve_cls,poly_cls", SIGNATURES, ids=["indefinite", "lsc"])
+def test_array_calls_write_only_their_own_outputs(curve_cls, poly_cls):
+    """Array calls leave the cached stacked tables and earlier results
+    bit-unchanged, and every returned column is memory of its own."""
+    curve = curve_cls(poly_cls([(1, 2), (Fraction(1, 3), 0), (0, -1)]), poly_cls([(0.5, 1)] * 6))
+    surf = Surface(curve)
+    rng = np.random.default_rng(9)
+    u, v = rng.uniform(-1, 1, (2, 3, 7))
+    calls = {
+        **_kernels(surf),
+        "_density": lambda u, v: (surf._density(u, v),),
+    }
+    columns = [x for kernel in calls.values() for x in kernel(u, v)]
+    tables = {ks: table.copy() for ks, table in surf._tables.items()}
+    before = [x.copy() for x in columns]
+    for kernel in calls.values():
+        kernel(u, v)
+    assert tables and surf._tables.keys() == tables.keys()
+    for ks, table in surf._tables.items():
+        assert np.array_equal(table.view(np.uint64), tables[ks].view(np.uint64)), ks
+    for x, y in zip(columns, before):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    for i, x in enumerate(columns):
+        assert not any(np.shares_memory(x, t) for t in surf._tables.values()), i
+        assert not any(np.shares_memory(x, y) for y in columns[i + 1:]), i
