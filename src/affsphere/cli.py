@@ -9,9 +9,11 @@ path that cannot be opened for writing).
 
 Float limit of synth, classify and verify: B = 2 c (d + 1) d^2 r^d <= 1e75, with
 c = max(1, largest |coefficient component|), d >= 1 the degree and
-r = max(1, max|u| + max|v|) over the domain.  B bounds |F|, |G| and their
-first two derivatives, and no computed value is a product of more than four
-of those, so B^4 fits.
+r = max(1, max(|u| + |v|)) over the domain and classify's probes; over the
+domain that is max|u| + max|v|.  B bounds |F|, |G| and their first two
+derivatives, and no computed value is a product of more than four of those,
+so B^4 fits.  A curve that breaks the limit on the domain is an input error;
+a probe that breaks it, on a curve within it, is an invalid argument.
 """
 
 from __future__ import annotations
@@ -82,17 +84,31 @@ def _parse_probe(text):
     return p
 
 
-def _compile(curve, domain):
-    """Compiled surface of the curve; a curve that cannot compile, or that breaks
-    the float limit on the domain (module docstring), is an input error."""
+def _log_bound(curve, points):
+    """log10 of the field bound B of the float limit (module docstring) over the (u, v) points."""
     d = max(curve.F.degree, curve.G.degree, 1)
-    r = max(1.0, max(abs(domain.u0), abs(domain.u1)) + max(abs(domain.v0), abs(domain.v1)))
-    log_bound = math.log10(2 * (d + 1) * d * d) + math.log10(curve.coeff_scale) + d * math.log10(r)
+    r = max([1.0] + [abs(u) + abs(v) for u, v in points])
+    return math.log10(2 * (d + 1) * d * d) + math.log10(curve.coeff_scale) + d * math.log10(r)
+
+
+def _compile(curve, domain, probes=()):
+    """Compiled surface of the curve; a curve that cannot compile, or that breaks
+    the float limit on the domain (module docstring), is an input error, and a
+    probe that breaks it an invalid argument."""
+    corners = [(u, v) for u in (domain.u0, domain.u1) for v in (domain.v0, domain.v1)]
+    log_bound = _log_bound(curve, corners)
     if log_bound > 75:
         raise io.CurveParseError(
             f"curve too large for float evaluation on this domain: "
             f"field bound 1e{log_bound:.0f} exceeds 1e75"
         )
+    for p in probes:  # r is the larger of the domain's and the probe's, and the domain's passed
+        log_bound = _log_bound(curve, [p])
+        if log_bound > 75:
+            raise InvalidDomain(
+                f"probe {p[0]!r},{p[1]!r} too far out for float evaluation of this curve: "
+                f"field bound 1e{log_bound:.0f} exceeds 1e75"
+            )
     try:
         return compile_surface(curve)
     except ValueError as exc:
@@ -159,8 +175,9 @@ def cmd_classify(args) -> int:
         raise InvalidDomain(f"classification grid must be square, got {nu}x{nv}")
     if nu < 16 or nu > 4096:
         raise InvalidDomain(f"classification resolution {nu} outside [16, 4096]")
-    _compile(curve, domain)
-    probes = [_snap_probe(curve, domain, nu, _parse_probe(p)) for p in args.probe]
+    probes = [_parse_probe(p) for p in args.probe]
+    _compile(curve, domain, probes)
+    probes = [_snap_probe(curve, domain, nu, p) for p in probes]
     report = singularities.classification_report(curve, domain, grid_res=nu, probes=probes)
     io.write_json_report(report, args.out or sys.stdout)
     return 0

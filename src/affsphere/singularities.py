@@ -11,11 +11,15 @@ det(gamma', eta) with its arc-length derivative decide the class label.
 Classification runs on arrays of points.  `_classify_points` takes each
 stage once, on all rows that reach it: lift ranks from one stack of SVDs; the
 branch, frontal-not-front and degenerate masks; five-point windows marched
-by a masked Newton projection; the null fields along them; det(gamma', eta)
-and its stencil derivative; and the psi test on exact null lines.  A report
-makes one such call, on its nodes, swallowtail roots and probes together,
-so it costs a fixed number of kernel calls, not a number per traced node.
-`classify_point`, `ccr_psi` and `lift_rank` are one-row calls.
+by a masked Newton projection, both halves of every window in one set of
+rows; the null fields along them; det(gamma', eta) and its stencil
+derivative; and the psi test on exact null lines.  A report makes one such
+call, on its nodes, swallowtail roots and probes together, so it costs a
+fixed number of kernel calls, not a number per traced node.
+`classify_point`, `ccr_psi` and `lift_rank` are one-row calls.  No stage
+recomputes what an earlier one computed: Newton iterates on its undecided
+rows only, and the swallowtail search takes its det from the jets of its
+projections and its roots from the projections `_brent` evaluated.
 
 Each primitive has one implementation that every stage shares, acting on
 the last axis of arrays (one point is a (2,) row) with the same IEEE
@@ -163,31 +167,44 @@ def _newton_project_rows(surf, q, tol, max_travel):
     after 60 steps when |lam| <= 100 tol; it fails where the gradient
     vanishes or the iterate moves farther than max_travel from its start.
     jet: (lam, lam_u, lam_v) at each ok row's projection, as density_jet
-    gave them there (other rows: meaningless).  A row freezes as soon as it
-    is decided, so each row equals its one-row result bit for bit.
+    gave them there (other rows: meaningless).  A failed row returns the
+    iterate it stopped at.  A row freezes as soon as it is decided, so each
+    row equals its one-row result bit for bit.
+
+    The iteration runs on working arrays of the undecided rows only (their
+    index, iterate, start, tol and max_travel), compacted on the steps where
+    some row leaves; a leaving row's iterate is written back to q then.
     """
-    start = q
     q = q.copy()
     ok = np.zeros(len(q), dtype=bool)
     jet = np.zeros((3, len(q)))
-    active = np.arange(len(q))
+    rows = np.arange(len(q))
+    u, v = np.array(q.T)
+    u0, v0 = u, v
     for _ in range(60):
-        if not active.size:
+        if not rows.size:
             return q, ok, jet
-        val, gu, gv = surf.density_jet(q[active, 0], q[active, 1])
-        done = np.abs(val) <= tol[active]
-        ok[active[done]] = True
-        jet[:, active[done]] = val[done], gu[done], gv[done]
+        val, gu, gv = surf.density_jet(u, v)
+        done = np.abs(val) <= tol
         g2 = gu * gu + gv * gv
         moving = ~done & (g2 != 0.0)
-        active, val, gu, gv, g2 = (x[moving] for x in (active, val, gu, gv, g2))
-        q[active, 0] -= val * gu / g2
-        q[active, 1] -= val * gv / g2
-        near = ~(np.hypot(*(q[active] - start[active]).T) > max_travel[active])
-        active = active[near]
-    if active.size:
-        jet[:, active] = surf.density_jet(q[active, 0], q[active, 1])
-        ok[active] = np.abs(jet[0, active]) <= 100 * tol[active]
+        if not moving.all():
+            ok[rows[done]] = True
+            jet[:, rows[done]] = val[done], gu[done], gv[done]
+            q[rows[~moving], 0], q[rows[~moving], 1] = u[~moving], v[~moving]
+            rows, u, v, u0, v0, tol, max_travel, val, gu, gv, g2 = (
+                x[moving] for x in (rows, u, v, u0, v0, tol, max_travel, val, gu, gv, g2))
+        u = u - val * gu / g2
+        v = v - val * gv / g2
+        near = ~(np.hypot(u - u0, v - v0) > max_travel)
+        if not near.all():
+            q[rows[~near], 0], q[rows[~near], 1] = u[~near], v[~near]
+            rows, u, v, u0, v0, tol, max_travel = (
+                x[near] for x in (rows, u, v, u0, v0, tol, max_travel))
+    if rows.size:
+        q[rows, 0], q[rows, 1] = u, v
+        jet[:, rows] = surf.density_jet(u, v)
+        ok[rows] = np.abs(jet[0, rows]) <= 100 * tol
     return q, ok, jet
 
 
@@ -334,17 +351,19 @@ def _brent(f, a, b, fa, fb, xtol=2e-12, rtol=4 * sys.float_info.epsilon):
     for _ in range(_BRENT_MAXITER):
         flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
         xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
-        spre, scur = np.where(flip, xcur - xpre, spre), np.where(flip, xcur - xpre, scur)
+        step = xcur - xpre
+        spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
         swap = np.abs(fblk) < np.abs(fcur)
         xpre, xcur, xblk, fpre, fcur, fblk = np.where(
             swap, [xcur, xblk, xcur, fcur, fblk, fcur], [xpre, xcur, xblk, fpre, fcur, fblk])
         delta = (xtol + rtol * np.abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         done = (fcur == 0.0) | (np.abs(sbis) < delta)
-        roots[lanes[done]] = xcur[done]
-        lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
-            x[~done] for x in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
-        )
+        if done.any():  # most iterations close no lane, and keep every array as it is
+            roots[lanes[done]] = xcur[done]
+            lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                x[~done] for x in (lanes, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
         if not lanes.size:
             return roots
         # a zero divisor makes the step +-inf or nan, which is never short: the lane bisects
@@ -639,10 +658,14 @@ def _stencil_derivative(values, h):
 def _march_windows(surf, p, tols, h):
     """Points at arc-length offsets -2h .. 2h along {lam = 0} through each row of p.
 
-    Tangent steps plus Newton projection, marched forward and then backward
-    from the projected centre; the gradient must stay above tols.deg on the
-    way.  Returns (points, tangents), (n, 5, 2) each and ordered by offset,
-    and the mask of rows whose window exists.  Failed rows stop marching.
+    Tangent steps plus Newton projection from the projected centre; the
+    gradient must stay above tols.deg on the way.  The forward half (slots
+    3, 4, along +t) and the backward half (slots 1, 0, along -t) march as one
+    set of rows, each half-row with its own sign, so a window takes three
+    `_newton_project_rows` calls: the centre and two steps.  Returns
+    (points, tangents), (n, 5, 2) each and ordered by offset, and the mask of
+    rows whose window exists: both halves reached slot 4 or 0.  A half that
+    fails stops marching; the other half goes on.
     """
     tol = _newton_tol(tols.sing)
     travel = 10 * h
@@ -653,19 +676,21 @@ def _march_windows(surf, p, tols, h):
     smooth = ~(norm <= tols.deg[rows])
     rows, t0 = rows[smooth], t0[smooth]
     points[rows, 2], dirs[rows, 2] = q0[rows], t0
-    alive = []
-    for sign, slots in ((1.0, (3, 4)), (-1.0, (1, 0))):
-        live, q, t = rows, q0[rows], sign * t0
-        for k in slots:
-            q, ok, jet = _newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
-            live, q, t = live[ok], q[ok], t[ok]
-            t_next, norm = _level_tangent(jet[:, ok])
-            smooth = ~(norm <= tols.deg[live])
-            live, q, t = live[smooth], q[smooth], _aligned(t_next[smooth], t[smooth])
-            points[live, k], dirs[live, k] = q, sign * t
-        alive.append(live)
+    # the forward half-rows, then the backward ones
+    live = np.concatenate([rows, rows])
+    sign = np.repeat([1.0, -1.0], len(rows))
+    q, t = q0[live], sign[:, None] * np.concatenate([t0, t0])
+    for step in (1, 2):
+        q, ok, jet = _newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
+        live, sign, q, t = live[ok], sign[ok], q[ok], t[ok]
+        t_next, norm = _level_tangent(jet[:, ok])
+        smooth = ~(norm <= tols.deg[live])
+        live, sign, q = live[smooth], sign[smooth], q[smooth]
+        t = _aligned(t_next[smooth], t[smooth])
+        slot = (2 + step * sign).astype(int)
+        points[live, slot], dirs[live, slot] = q, sign[:, None] * t
     ok = np.zeros(len(p), dtype=bool)
-    ok[np.intersect1d(*alive)] = True
+    ok[np.intersect1d(live[sign > 0], live[sign < 0])] = True
     return points, dirs, ok
 
 
@@ -946,10 +971,12 @@ def _null_line_psi(curve, domain):
 # -- swallowtail search ----------------------------------------------------------
 
 
-def _frame_dets(surf, q, ref_dir, ref_eta):
+def _frame_dets(surf, q, jet, ref_dir, ref_eta):
     """det(gamma', eta) at the rows of q, the level tangent gamma' and null
-    direction eta `_aligned` with the reference rows; 0 where either vanishes."""
-    t, t_norm = _level_tangent(surf.density_jet(q[:, 0], q[:, 1]))
+    direction eta `_aligned` with the reference rows; 0 where either vanishes.
+
+    jet: the density jet at the rows of q, as `_project_or_keep` returns it."""
+    t, t_norm = _level_tangent(jet)
     eta, eta_norm = _null_direction(_chart_matrix(surf, q[:, 0], q[:, 1]))
     defined = (t_norm != 0.0) & (eta_norm != 0.0)
     return np.where(defined, _det2(_aligned(t, ref_dir), _aligned(eta, ref_eta)), 0.0)
@@ -979,10 +1006,17 @@ def _node_dets(surf, pts, tangents, degenerate):
 
 
 def _project_or_keep(surf, curve, q):
-    """Rows of q Newton-projected onto {lam = 0}; a row whose projection fails stays put."""
+    """(rows, jet): the rows of q Newton-projected onto {lam = 0}, a row whose
+    projection fails kept in place, and the density jet at the rows returned.
+
+    A projected row takes the jet Newton computed at its projection; the kept
+    rows take one density_jet call, made only when some row is kept."""
     tol = _newton_tol(_point_tols(curve, q).sing)
-    proj, ok, _ = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
-    return np.where(ok[:, None], proj, q)
+    proj, ok, jet = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
+    kept = np.flatnonzero(~ok)
+    if kept.size:
+        jet[:, kept] = surf.density_jet(q[kept, 0], q[kept, 1])
+    return np.where(ok[:, None], proj, q), jet
 
 
 def _swallowtail_roots(surf, curve, traced):
@@ -991,6 +1025,8 @@ def _swallowtail_roots(surf, curve, traced):
     Every pair of consecutive nodes where det changes sign is a bracket, and
     all brackets of all curves are solved in one lockstep `_brent` call,
     det evaluated at the Newton projections of the points of the segment.
+    `_brent` returns only parameters s it evaluated det at, so each root is
+    the projection that evaluation made, kept by (bracket, s) for this call.
     """
     curves = [sc for sc in traced if sc.kind == "traced"]
     if not curves:
@@ -1012,16 +1048,18 @@ def _swallowtail_roots(surf, curve, traced):
     # a bracket node is not degenerate, so its tangent is +-rot(grad lam) there
     pa, pb, dir0, eta0 = pts[k], pts[k_next[k]], tangents[k], etas[k]
 
+    projected = {}  # (bracket, s) -> the projected point det was evaluated at
+
     def det_along(s, lanes):
-        q = _project_or_keep(surf, curve, (1 - s)[:, None] * pa[lanes] + s[:, None] * pb[lanes])
-        return _frame_dets(surf, q, dir0[lanes], eta0[lanes])
+        q, jet = _project_or_keep(surf, curve, (1 - s)[:, None] * pa[lanes] + s[:, None] * pb[lanes])
+        projected.update(zip(zip(lanes.tolist(), s.tolist()), q))
+        return _frame_dets(surf, q, jet, dir0[lanes], eta0[lanes])
 
     lanes = np.arange(len(pa))  # both ends of every bracket in one call
     fa, fb = np.split(det_along(np.repeat([0.0, 1.0], len(pa)), np.tile(lanes, 2)), 2)
     s = _brent(det_along, np.zeros(len(pa)), np.ones(len(pa)), fa, fb, xtol=1e-13)
-    hit = ~np.isnan(s)
-    s, pa, pb = s[hit], pa[hit], pb[hit]
-    return _project_or_keep(surf, curve, (1 - s)[:, None] * pa + s[:, None] * pb)
+    hit = np.flatnonzero(~np.isnan(s))
+    return np.array([projected[key] for key in zip(hit.tolist(), s[hit].tolist())]).reshape(-1, 2)
 
 
 def _swallowtails(roots, classes):
