@@ -91,6 +91,14 @@ def _log_bound(curve, points):
     return math.log10(2 * (d + 1) * d * d) + math.log10(curve.coeff_scale) + d * math.log10(r)
 
 
+def _bound_text(log_bound):
+    """B = 10**log_bound as 'm.mme<exponent>', the mantissa rounded up, so that a
+    bound above the limit never reads as the limit."""
+    exponent = math.floor(log_bound)
+    mantissa = math.ceil(10 ** (log_bound - exponent) * 100) / 100
+    return f"{mantissa:.2f}e{exponent}"
+
+
 def _compile(curve, domain, probes=()):
     """Compiled surface of the curve; a curve that cannot compile, or that breaks
     the float limit on the domain (module docstring), is an input error, and a
@@ -100,14 +108,14 @@ def _compile(curve, domain, probes=()):
     if log_bound > 75:
         raise io.CurveParseError(
             f"curve too large for float evaluation on this domain: "
-            f"field bound 1e{log_bound:.0f} exceeds 1e75"
+            f"field bound {_bound_text(log_bound)} exceeds 1e75"
         )
     for p in probes:  # r is the larger of the domain's and the probe's, and the domain's passed
         log_bound = _log_bound(curve, [p])
         if log_bound > 75:
             raise InvalidDomain(
                 f"probe {p[0]!r},{p[1]!r} too far out for float evaluation of this curve: "
-                f"field bound 1e{log_bound:.0f} exceeds 1e75"
+                f"field bound {_bound_text(log_bound)} exceeds 1e75"
             )
     try:
         return compile_surface(curve)
@@ -219,12 +227,16 @@ def cmd_verify(args) -> int:
     if shorthand in _SHORTHANDS:
         surf = surf.with_patched_fields(**{shorthand: True})
 
-    # each input is built when a suite first needs it, and again by the next
-    # suite that needs it when building it raised PatchNotGraph
+    # each input is built, evaluated on surf with one field_jets call (and for
+    # the patch one chart solve), when a suite first needs it; the suites that
+    # read it share that evaluation.  An input whose build raised
+    # PatchNotGraph is built again by the next suite that needs it.
     rng = np.random.default_rng(12345)
     build = {
-        "points": lambda: residuals.random_regular_points(curve, 100, rng, domain),
-        "patch": lambda: residuals.regular_graph_patch(curve, domain, res=20),
+        "points": lambda: residuals.evaluate(
+            surf, residuals.random_regular_points(curve, 100, rng, domain)),
+        "patch": lambda: residuals.evaluate(
+            surf, residuals.regular_graph_patch(curve, domain, res=20), chart=True),
         "domain": lambda: domain,
     }
     inputs = {}
@@ -236,7 +248,8 @@ def cmd_verify(args) -> int:
                 inputs[need] = build[need]()
             reports.extend(run(surf, inputs[need], args.corrupt == "flip-q"))
         except residuals.PatchNotGraph as exc:
-            reports.append(residuals.ResidualReport(name, math.inf, math.inf, 0, False, 0.0))
+            tolerance = residuals.TOLERANCES[name]
+            reports.append(residuals.ResidualReport(name, math.inf, math.inf, 0, False, tolerance))
             sys.stderr.write(f"suite {name}: {exc}\n")
 
     for rep in reports:

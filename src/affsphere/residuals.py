@@ -8,18 +8,29 @@ patches, and the contact-form checks (theta, omega) of the graph lift.
 Identities hold for every curve pair, so corrupted-field fixtures provide the
 negative controls.
 
-A point set is any iterable of (u, v) pairs or an (n, 2) array; each suite
-evaluates it with one ``Surface.field_jets`` call and array expressions.
+A point set is any iterable of (u, v) pairs, an (n, 2) array, or a PointSet
+that ``evaluate`` made of one.  Raw points cost a suite one
+``Surface.field_jets`` call; a PointSet carries that call's jets, and for a
+graph patch its chart, so the suites that read one input share one
+``field_jets`` call per input.  Each report's tolerance is in TOLERANCES.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .singularities import _null_line_psi, ccr_psi_control
-from .surfaces import Domain, Surface, compile_surface
+from .surfaces import Domain, FieldJets, Surface, compile_surface
+
+# report name -> tolerance, read by the suites and by a failure report of a
+# suite whose input could not be built
+TOLERANCES = {
+    "duality": 1e-8, "two_form": 1e-8, "conformal": 1e-8,
+    "monge_ampere": 1e-5, "lift": 1e-5, "ccr": 1e-6, "ccr_control": 1.0,
+}
 
 
 class PatchNotGraph(ValueError):
@@ -48,14 +59,49 @@ def _surface(curve_or_surface) -> Surface:
 
 def _uv(points):
     """(u, v) float arrays of an iterable of (u, v) pairs or an (n, 2) array."""
-    pts = np.asarray(list(points) or np.empty((0, 2)), dtype=float)
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    pts = np.asarray(points if len(points) else np.empty((0, 2)), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"expected (u, v) pairs, got an array of shape {pts.shape}")
     return pts[:, 0], pts[:, 1]
 
 
-def _report(name, residuals, tolerance) -> ResidualReport:
-    """Summary of an array of residuals of any shape; an empty one passes."""
+class PointSet(NamedTuple):
+    """Points evaluated once: the surface, the u and v arrays, their field jets
+    and, for a graph patch, the chart: (Jacobian, its determinant, the graph
+    gradient (p, q), the graph Hessian (uu, uv, vv))."""
+
+    surf: Surface
+    u: np.ndarray
+    v: np.ndarray
+    jets: FieldJets
+    chart: tuple | None = None
+
+
+def evaluate(curve, points, chart=False) -> PointSet:
+    """The PointSet of points on the surface of curve, with its chart when asked.
+
+    A PointSet is passed through, and keeps its own surface; its chart is
+    solved here if asked for and missing.  Raises PatchNotGraph when the
+    chart degenerates at a point.
+    """
+    if isinstance(points, PointSet):
+        pts = points
+    else:
+        surf = _surface(curve)
+        u, v = _uv(points)
+        pts = PointSet(surf, u, v, surf.field_jets(u, v))
+    if chart and pts.chart is None:
+        jac, det, (p, q) = _chart_solve(pts.surf, pts.u, pts.v, pts.jets)
+        pts = pts._replace(chart=(jac, det, (p, q), _graph_hessian(pts.jets, p, q)))
+    return pts
+
+
+def _report(name, residuals) -> ResidualReport:
+    """Summary of an array of residuals of any shape against TOLERANCES[name];
+    an empty one passes."""
+    tolerance = TOLERANCES[name]
     arr = np.abs(np.ravel(residuals))
     if arr.size == 0:
         return ResidualReport(name, 0.0, 0.0, 0, True, tolerance)
@@ -85,10 +131,10 @@ def duality_residual(curve, points) -> ResidualReport:
     nu_v = psi_u x xi with xi = (0,0,1).  The convex signature mirrors the
     middle two identities: psi_v = nu_u x nu and nu_u = xi x psi_v.
     """
-    surf = _surface(curve)
+    pts = evaluate(curve, points)
     xi = np.array([0.0, 0.0, 1.0])
-    sign = surf.curve.unit_sq
-    j = surf.field_jets(*_uv(points))
+    sign = pts.surf.curve.unit_sq
+    j = pts.jets
     # (jet index, point, component) stacks of the position and the conormal
     psi = np.stack([j.x1, j.x2, j.phi], axis=-1)
     nu = np.stack([j.n1, j.n2, np.zeros_like(j.n1)], axis=-1)
@@ -100,7 +146,7 @@ def duality_residual(curve, points) -> ResidualReport:
         (nu[2], np.cross(psi[1], xi)),
     )
     res = [_rel(*np.linalg.norm([got - want, got, want], axis=2)) for got, want in checks]
-    return _report("duality", np.stack(res, axis=1), 1e-8)
+    return _report("duality", np.stack(res, axis=1))
 
 
 # -- 2-form annihilation ---------------------------------------------------------
@@ -113,9 +159,9 @@ def two_form_residual(curve, points) -> ResidualReport:
     convex one carries the opposite sign on the dn term.  Second form:
     dx1^dn1 + dx2^dn2 vanishes in both.
     """
-    surf = _surface(curve)
-    sign = surf.curve.unit_sq
-    j = surf.field_jets(*_uv(points))
+    pts = evaluate(curve, points)
+    sign = pts.surf.curve.unit_sq
+    j = pts.jets
     (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
     (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
     det_x = x1u * x2v - x1v * x2u
@@ -123,7 +169,7 @@ def two_form_residual(curve, points) -> ResidualReport:
     form1 = det_x + sign * det_n
     form2 = (x1u * n1v - x1v * n1u) + (x2u * n2v - x2v * n2u)
     res = (_rel(form1, det_x, det_n), _rel(form2, x1u * n1v, x1v * n1u, x2u * n2v, x2v * n2u))
-    return _report("two_form", np.stack(res, axis=1), 1e-8)
+    return _report("two_form", np.stack(res, axis=1))
 
 
 # -- metric conformality -----------------------------------------------------------
@@ -132,16 +178,16 @@ def two_form_residual(curve, points) -> ResidualReport:
 def metric_conformality(curve, points) -> ResidualReport:
     """Conformality of g = -<dx, dn> in null (indefinite) or isothermal (convex)
     coordinates: g_uv = 0 and g_uu + g_vv = 0, resp. g_uu - g_vv = 0."""
-    surf = _surface(curve)
-    sign = surf.curve.unit_sq
-    j = surf.field_jets(*_uv(points))
+    pts = evaluate(curve, points)
+    sign = pts.surf.curve.unit_sq
+    j = pts.jets
     (_, x1u, x1v, *_), (_, x2u, x2v, *_) = j.x1, j.x2
     (_, n1u, n1v, *_), (_, n2u, n2v, *_) = j.n1, j.n2
     g_uu = -(x1u * n1u + x2u * n2u)
     g_vv = -(x1v * n1v + x2v * n2v)
     g_uv = -0.5 * ((x1u * n1v + x2u * n2v) + (x1v * n1u + x2v * n2u))
     res = (_rel(g_uv, g_uu, g_vv), _rel(g_uu + sign * g_vv, g_uu, g_vv))
-    return _report("conformal", np.stack(res, axis=1), 1e-8)
+    return _report("conformal", np.stack(res, axis=1))
 
 
 # -- graph patches ------------------------------------------------------------------
@@ -201,13 +247,10 @@ def monge_ampere_residual(curve, graph_patch) -> ResidualReport:
     The Hessian in graph coordinates comes from exact (u,v)-jets pushed
     through the chart by the inverse function theorem.
     """
-    surf = _surface(curve)
-    c = -surf.curve.unit_sq
-    u, v = _uv(graph_patch)
-    j = surf.field_jets(u, v)
-    _, det, (p, q) = _chart_solve(surf, u, v, j)
-    h_uu, h_uv, h_vv = _graph_hessian(j, p, q)
-    return _report("monge_ampere", (h_uu * h_vv - h_uv * h_uv) / det**2 - c, 1e-5)
+    pts = evaluate(curve, graph_patch, chart=True)
+    c = -pts.surf.curve.unit_sq
+    _, det, _, (h_uu, h_uv, h_vv) = pts.chart
+    return _report("monge_ampere", (h_uu * h_vv - h_uv * h_uv) / det**2 - c)
 
 
 def lift_residual(curve, graph_patch, flip_q=False) -> ResidualReport:
@@ -217,12 +260,10 @@ def lift_residual(curve, graph_patch, flip_q=False) -> ResidualReport:
     flip_q negates q after the solve; it is the negative control that breaks
     theta while leaving the surface data intact.
     """
-    surf = _surface(curve)
-    c = -surf.curve.unit_sq
-    u, v = _uv(graph_patch)
-    j = surf.field_jets(u, v)
-    jac, det, (p, q) = _chart_solve(surf, u, v, j)
-    h_uu, h_uv, h_vv = _graph_hessian(j, p, q)
+    pts = evaluate(curve, graph_patch, chart=True)
+    c = -pts.surf.curve.unit_sq
+    j = pts.jets
+    jac, det, (p, q), (h_uu, h_uv, h_vv) = pts.chart
     pu, qu = _cramer(jac, det, h_uu, h_uv)
     pv, qv = _cramer(jac, det, h_uv, h_vv)
     if flip_q:
@@ -232,7 +273,7 @@ def lift_residual(curve, graph_patch, flip_q=False) -> ResidualReport:
     theta_v = phiv - p * x1v - q * x2v
     omega = c * det - (pu * qv - pv * qu)
     res = (_rel(theta_u, phiu, phiv), _rel(theta_v, phiu, phiv), _rel(omega, det))
-    return _report("lift", np.stack(res, axis=1), 1e-5)
+    return _report("lift", np.stack(res, axis=1))
 
 
 # -- cuspidal cross cap suite -------------------------------------------------------
@@ -249,7 +290,7 @@ def ccr_residual(curve, domain: Domain | None = None):
     dpsi0, scale = _null_line_psi(curve, domain or Domain())
     _, dpsi_control = ccr_psi_control()
     ratio = 1e-3 / max(abs(dpsi_control), 1e-300)
-    return _report("ccr", np.abs(dpsi0) / scale, 1e-6), _report("ccr_control", ratio, 1.0)
+    return _report("ccr", np.abs(dpsi0) / scale), _report("ccr_control", ratio)
 
 
 def random_regular_points(curve, n, rng, domain: Domain | None = None):
