@@ -93,9 +93,13 @@ def _log_bound(curve, points):
 
 def _bound_text(log_bound):
     """B = 10**log_bound as 'm.mme<exponent>', the mantissa rounded up, so that a
-    bound above the limit never reads as the limit."""
+    bound above the limit never reads as the limit; 'inf' when |u| + |v| overflows."""
+    if math.isinf(log_bound):
+        return "inf"
     exponent = math.floor(log_bound)
     mantissa = math.ceil(10 ** (log_bound - exponent) * 100) / 100
+    if mantissa >= 10:  # 9.999... rounded up
+        mantissa, exponent = 1.0, exponent + 1
     return f"{mantissa:.2f}e{exponent}"
 
 

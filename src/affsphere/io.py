@@ -269,7 +269,7 @@ def _write_json(obj, out):
     """The one JSON writer: obj indented by two spaces, and a newline, to a path
     or text stream; numpy scalars and arrays as their Python values."""
     with _output(out) as fh:
-        fh.write(_indented(obj, "  "))
+        fh.write(_indented(obj))
         fh.write("\n")
 
 
@@ -308,8 +308,11 @@ def _scalar(o):
     return None if kind is None else _TEXTS[kind]((o,))[0]
 
 
-def _indented(obj, pad):
-    """json.dumps(obj, indent=len(pad), default=_coerce_json), as one string.
+_PAD = "  "  # one indentation level of _indented
+
+
+def _indented(obj):
+    """json.dumps(obj, indent=2, default=_coerce_json), as one string.
 
     Siblings are written together (`texts`, one frame per nesting level, as
     json's encoder): values of one exact type by one map, rows (more dicts
@@ -328,11 +331,11 @@ def _indented(obj, pad):
         if kind is dict and len(values) > len(values[0]):
             keys = tuple(values[0])
             if keys and all(isinstance(k, str) for k in keys) and all(tuple(x) == keys for x in values):
-                template, columns = _template(_key_names(keys), depth, pad, "{}"), zip(*[x.values() for x in values])
+                template, columns = _template(_key_names(keys), depth, "{}"), zip(*[x.values() for x in values])
         elif (kind is list or kind is tuple) and len(values) > len(values[0]):
             n = len(values[0])
             if n and all(len(x) == n for x in values):
-                template, columns = _template(["%s"] * n, depth, pad, "[]"), zip(*values)
+                template, columns = _template(["%s"] * n, depth, "[]"), zip(*values)
         if template is not None:
             return [template % row for row in zip(*map(texts, columns, repeat(depth + 1)))]
         out = []
@@ -342,9 +345,9 @@ def _indented(obj, pad):
                 out.append(write((o,))[0])
             elif isinstance(o, dict) and o:
                 keys, items = zip(*o.items())
-                out.append(_template(_key_names(keys), depth, pad, "{}") % tuple(texts(items, depth + 1)))
+                out.append(_template(_key_names(keys), depth, "{}") % tuple(texts(items, depth + 1)))
             elif isinstance(o, (list, tuple)) and o:
-                out.append(_template(["%s"] * len(o), depth, pad, "[]") % tuple(texts(o, depth + 1)))
+                out.append(_template(["%s"] * len(o), depth, "[]") % tuple(texts(o, depth + 1)))
             elif isinstance(o, (list, tuple, dict)):
                 out.append("{}" if isinstance(o, dict) else "[]")
             else:
@@ -359,10 +362,10 @@ def _indented(obj, pad):
         raise
 
 
-def _template(items, depth, pad, brackets):
+def _template(items, depth, brackets):
     """Text of a container of these items whose opening bracket is at this depth."""
-    inner = "\n" + pad * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad * depth + brackets[1]
+    inner = "\n" + _PAD * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + _PAD * depth + brackets[1]
 
 
 def _key_names(keys):

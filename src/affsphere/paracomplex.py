@@ -314,18 +314,17 @@ class Poly1(_DensePoly):
 
         The companion matrix splits a multiple root into a cluster, whose
         members may leave the real axis.  So when the coefficients are exact
-        and two roots lie within 1e-3 (1 + |r|) of each other, the roots are
-        those of the square-free part P / gcd(P, P'), each root once.
+        and gcd(P, P') is non-trivial modulo 2^61 - 1, the roots are those of
+        the square-free part P / gcd(P, P') over the rationals, each root once.
         """
         import numpy as np
 
         if len(self.coeffs) <= 1:
             return []
-        rts = np.roots([float(c) for c in reversed(self.coeffs)])
-        if all(map(is_exact, self.coeffs)):
-            gap = np.abs(rts[:, None] - rts) + np.diag(np.full(len(rts), np.inf))
-            if (gap <= 1e-3 * (1 + np.abs(rts))).any():
-                rts = np.roots([float(c) for c in reversed(_squarefree(self.coeffs))])
+        coeffs = self.coeffs
+        if all(map(is_exact, coeffs)) and _may_repeat_root(coeffs):
+            coeffs = _squarefree(coeffs)
+        rts = np.roots([float(c) for c in reversed(coeffs)])
         return sorted(float(r.real) for r in rts if abs(r.imag) <= 1e-9 * (1 + abs(r)))
 
 
@@ -342,6 +341,30 @@ def _divmod_exact(num, den):
     while rem and rem[-1] == 0:
         rem.pop()
     return quot[::-1], rem
+
+
+def _may_repeat_root(coeffs):
+    """Whether gcd(P, P') is non-trivial modulo the prime 2^61 - 1, for exact P
+    of degree >= 1.  A trivial gcd there makes P square-free over the
+    rationals; a denominator or leading coefficient divisible by the prime
+    answers True, so that the exact gcd decides."""
+    p = (1 << 61) - 1
+    fracs = [Fraction(c) for c in coeffs]
+    if fracs[-1].numerator % p == 0 or any(f.denominator % p == 0 for f in fracs):
+        return True
+    a = [f.numerator * pow(f.denominator, -1, p) % p for f in fracs]
+    b = [k * c % p for k, c in enumerate(a)][1:]
+    while b:  # Euclid: a, b = b, a mod b
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            f = a[-1] * inv % p
+            for i, d in enumerate(b, len(a) - len(b)):
+                a[i] = (a[i] - f * d) % p
+            a.pop()
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return len(a) > 1
 
 
 def _squarefree(coeffs):

@@ -16,10 +16,10 @@ rows; the null fields along them; det(gamma', eta) and its stencil
 derivative; and the psi test on exact null lines.  A report makes one such
 call, on its nodes, swallowtail roots and probes together, so it costs a
 fixed number of kernel calls, not a number per traced node.
-`classify_point`, `ccr_psi` and `lift_rank` are one-row calls.  No stage
-recomputes what an earlier one computed: Newton iterates on its undecided
-rows only, and the swallowtail search takes its det from the jets of its
-projections and its roots from the projections `_brent` evaluated.
+`classify_point`, `ccr_psi`, `lift_rank` and `null_vector` are one-row calls.
+No stage recomputes what an earlier one computed: Newton iterates on its
+undecided rows only, and the swallowtail search takes its det from the jets
+of its projections and its roots from the projections `_brent` evaluated.
 
 Each primitive has one implementation that every stage shares, acting on
 the last axis of arrays (one point is a (2,) row) with the same IEEE
@@ -58,7 +58,6 @@ TAG_FRONT_UNCLASSIFIED = "FrontUnclassified"
 TAG_DEGENERATE_OTHER = "DegenerateOther"
 
 _DET_TOL = 1e-6  # floor of |det(gamma', eta)| in the front criteria
-_NULL_TOL = 1e-7  # relative kernel residual above which null_vector uses the SVD
 
 
 class NotSingular(ValueError):
@@ -77,25 +76,23 @@ class TraceRequired(RuntimeError):
 class Tolerances:
     """Scale-aware thresholds; S = coefficient scale x domain radius.
 
-    Fields are numbers, or arrays with one entry per row of points.
+    branch is the one first-derivative tolerance, of the branch-point and
+    frontal-not-front tests alike.  Fields are numbers, or arrays over rows.
     """
 
     sing: float
     deg: float
     branch: float
-    ff: float
 
     def rows(self, idx):
         """Tolerances of the selected rows, when the fields are arrays over rows."""
-        return Tolerances(self.sing[idx], self.deg[idx], self.branch[idx], self.ff[idx])
+        return Tolerances(self.sing[idx], self.deg[idx], self.branch[idx])
 
 
 def tolerances_for(curve, radius=1.0) -> Tolerances:
     """Thresholds for a radius, or for an array of radii, one row each."""
     s = curve.coeff_scale * np.maximum(1.0, radius)
-    return Tolerances(
-        sing=1e-9 * s * s, deg=1e-7 * s, branch=1e-9 * s, ff=1e-9 * s
-    )
+    return Tolerances(sing=1e-9 * s * s, deg=1e-7 * s, branch=1e-9 * s)
 
 
 def _point_tols(curve, p) -> Tolerances:
@@ -236,23 +233,18 @@ def _null_direction(m):
 def null_vector(curve, p):
     """Unit kernel direction of the chart differential at a singular point.
 
-    Of the two rotated-row candidates the larger one is returned (they are
-    parallel on the singular set); an SVD fallback covers points where the
-    chosen candidate fails the kernel residual check.
+    The larger of the two rotated-row candidates, which are parallel on the
+    singular set: the one-row `_null_direction` of the classifier, so it
+    equals that row of a batch bit for bit.
     """
     surf = compile_surface(curve)
     tols = _point_tols(curve, p)
     lam = float(surf.area_density(float(p[0]), float(p[1])))
     if abs(lam) > tols.sing:
         raise NotSingular(f"|lam| = {abs(lam):.3e} exceeds {tols.sing:.3e}")
-    m = _chart_matrix(surf, float(p[0]), float(p[1]))
-    eta, norm = _null_direction(m)
+    eta, norm = _null_direction(_chart_matrix(surf, float(p[0]), float(p[1])))
     if norm <= tols.branch:
         raise BranchPointError("differential vanishes; no null direction")
-    scale = max(np.linalg.norm(m), 1e-300)
-    if np.linalg.norm(m @ eta) > 10 * _NULL_TOL * scale:
-        _, _, vt = np.linalg.svd(m)
-        eta = vt[-1]
     return eta
 
 
@@ -273,7 +265,7 @@ def _lift_ranks(curve, frames):
     x_u, x_v, _, n_u, n_v = frames
     jac = np.stack([np.concatenate(col, axis=1) for col in ((x_u, n_u), (x_v, n_v))], axis=-1)
     sv = np.linalg.svd(jac, compute_uv=False)
-    floor = 1e-9 * max(1.0, curve.coeff_scale)
+    floor = 1e-9 * curve.coeff_scale
     return np.where(sv[:, 0] <= floor, 0, np.where(sv[:, 1] > 1e-7 * sv[:, 0], 2, 1))
 
 
@@ -295,8 +287,8 @@ def _fnf_kind(surf, u, v, tols):
     object array of these answers, one per point.
     """
     f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
-    diff = (np.abs(f1u - f2u) <= tols.ff) & (np.abs(g1u - g2u) <= tols.ff)
-    summ = (np.abs(f1u + f2u) <= tols.ff) & (np.abs(g1u + g2u) <= tols.ff)
+    diff = (np.abs(f1u - f2u) <= tols.branch) & (np.abs(g1u - g2u) <= tols.branch)
+    summ = (np.abs(f1u + f2u) <= tols.branch) & (np.abs(g1u + g2u) <= tols.branch)
     if surf.signature != "indefinite":
         diff = summ = np.zeros_like(diff)
     kinds = np.where(diff, "difference", np.where(summ, "sum", None))

@@ -437,15 +437,10 @@ class Surface:
     # -- samples and grids ------------------------------------------------------
 
     def sample(self, u, v) -> SurfaceSample:
+        """The values of position_jet, conormal_jet and normal_jet, from one field_jets call."""
         j = self.field_jets(float(u), float(v))
-        pos = np.array([j.x1[0], j.x2[0], j.phi[0]])
-        con = np.array([j.n1[0], j.n2[0], 1.0])
-        return SurfaceSample(
-            domain_point=(u, v),
-            position=pos,
-            conormal=con,
-            unit_normal=con / np.sqrt(con @ con),
-        )
+        con = _conormal_jet(j)
+        return SurfaceSample((u, v), _position_jet(j).value, con.value, _unit_normal_jet(con).value)
 
     def density_grid(self, u_axis, v_axis):
         """Density on the tensor grid u_axis x v_axis, in blocks of rows.

@@ -1,7 +1,9 @@
 """The float-limit messages print a field bound that reads above the limit.
 
 B = 2c(d+1)d²r^d is printed with a three-digit mantissa rounded up, so a
-bound just above 1e75 never prints as 1e75 itself.
+bound just above 1e75 never prints as 1e75 itself; a mantissa that rounds up
+to 10 carries into the exponent, and a bound whose |u| + |v| overflows prints
+as inf, with the exit code of any other bound beyond the limit.
 """
 
 import math
@@ -52,3 +54,35 @@ def test_bound_text_never_reads_at_or_below_the_bound(excess):
     assert printed > 1e75
     assert math.log10(printed) >= log_bound
     assert math.log10(printed) - log_bound < 0.005
+
+
+@pytest.mark.parametrize("log_bound", [75.99999, 75.999999999, 76 - 1e-13, 99.9999])
+def test_bound_text_mantissa_that_rounds_up_to_ten_carries(log_bound):
+    text = cli._bound_text(log_bound)
+    mantissa, exponent = text.split("e")
+    assert mantissa == "1.00" and int(exponent) == math.floor(log_bound) + 1
+    assert float(text) > 1e75 and math.log10(float(text)) >= log_bound
+
+
+def test_bound_text_of_an_infinite_bound_reads_above_the_limit():
+    assert float(cli._bound_text(math.inf)) > 1e75
+
+
+OVERFLOWING = [
+    (["synth", "--domain=-1e308,1e308,-1e308,1e308"], 2),
+    (["classify", "--domain=-1e308,1e308,-1e308,1e308"], 2),
+    (["verify", "--domain=-1e308,1e308,-1e308,1e308"], 2),
+    (["classify", "--probe=1e308,1e308"], 3),
+    (["classify", "--probe=-1e308,-1e308"], 3),
+]
+
+
+@pytest.mark.parametrize("args, code", OVERFLOWING, ids=lambda x: x if isinstance(x, int) else " ".join(x))
+def test_overflowing_domain_or_probe_exits_with_one_line(args, code, curve_file, tmp_path, capsys):
+    # |u| + |v| overflows to inf, so log10 B is infinite
+    out = tmp_path / "out.json"
+    assert cli.main([args[0], "--curve", curve_file, "--out", str(out), *args[1:]]) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert float(BOUND.findall(err)[0]) > 1e75
+    assert not out.exists()

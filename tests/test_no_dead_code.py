@@ -4,10 +4,12 @@ Every single-underscore function, method or class in the package must be
 named somewhere in the package outside its own definition; a private helper
 that nothing in ``src/affsphere`` calls serves only tests and is deleted.
 Every public function, method, class and module constant must be named by
-package code, ``perfbench/``, ``demos/`` or ``affsphere.__all__``.
+package code, ``perfbench/``, ``demos/`` or ``affsphere.__all__``; a public
+method only counts as named where it appears as an attribute or in a string.
 """
 
 import ast
+import re
 from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
@@ -28,6 +30,7 @@ ALLOWED_UNREFERENCED = {
 # public definitions kept although no code names them (fnmatch patterns), with the reason
 ALLOWED_UNREFERENCED_PUBLIC = {
     "cmd_*": "main dispatches the subcommands by name, as cmd_<command>",
+    "extras": "Surface.extras, the exact F' and G' components that acceptance criteria 5 and 9 read",
 }
 
 
@@ -78,44 +81,60 @@ def test_public_names_sorted_unique_and_resolvable():
     assert not missing, f"__all__ names missing from the package: {missing}"
 
 
+def _attribute_names(node):
+    """Identifiers that node and its children name as attributes, or as a
+    string that is a dotted identifier path ("surfaces.Surface.sample_grid")."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", sub.value):
+                yield from sub.value.split(".")
+
+
 def _public_definitions(tree):
-    """(name, node) of the module's public functions, classes and constants,
-    and of the public methods of its classes."""
+    """(name, node, is_method) of the module's public functions, classes and
+    constants, and of the public methods of its classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield item.name, item
+                        yield item.name, item, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node
+                    yield target.id, node, False
 
 
 def _unreferenced_public_definitions():
-    defs = {}  # name -> "file:line" of its first definition
-    uses = Counter()
+    """A function, class or constant counts as used where it is named; a method
+    only where it is named as an attribute or in a string, as a local variable
+    of the same name does not reach it."""
+    defs = {}  # name -> ("file:line" of its first definition, is_method)
+    uses, attribute_uses = Counter(), Counter()
     paths = sorted(SRC.glob("*.py"))
     for tree_root in USER_TREES:
         paths += sorted(tree_root.glob("*.py"))
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         uses.update(_names(tree))
+        attribute_uses.update(_attribute_names(tree))
         if path.parent != SRC:
             continue
-        for name, node in _public_definitions(tree):
+        for name, node, is_method in _public_definitions(tree):
             if name.startswith("_"):
                 continue
-            defs.setdefault(name, f"{path.name}:{node.lineno}")
+            defs.setdefault(name, (f"{path.name}:{node.lineno}", is_method))
             # the definition naming itself (its target, or recursion) is not a use
             uses[name] -= sum(n == name for n in _names(node))
+            attribute_uses[name] -= sum(n == name for n in _attribute_names(node))
     return sorted(
         f"{name} ({where})"
-        for name, where in defs.items()
-        if uses[name] <= 0 and name not in affsphere.__all__
+        for name, (where, is_method) in defs.items()
+        if (attribute_uses if is_method else uses)[name] <= 0 and name not in affsphere.__all__
         and not any(fnmatch(name, pattern) for pattern in ALLOWED_UNREFERENCED_PUBLIC)
     )
 

@@ -4,7 +4,9 @@ F = (z - c)^m, G = (z - c)^(m+1) is (z^m, z^(m+1)) translated by c, so on the
 translated domain it must have the same singular set: the null lines
 u + v = c and u - v = c, and the same tags.  In null coordinates its density
 carries the factor (a - c)^(m-1) (b - c)^(m-1), so the line constants are
-(m-1)-fold roots, which the companion matrix splits into clusters.
+(m-1)-fold roots, which the companion matrix splits into clusters.  For
+exact coefficients gcd(P, P') decides that a root repeats, not the spread
+of its cluster.
 """
 
 from collections import Counter
@@ -44,3 +46,22 @@ def test_real_roots_of_an_exact_multiple_root_once():
     roots = p.real_roots()
     assert len(roots) == 2
     assert abs(roots[0] + 2) <= 1e-12 and abs(roots[1] - 1 / 3) <= 1e-12
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(1, 7), Fraction(-2, 5)], ids=str)
+@pytest.mark.parametrize("m", range(3, 13))
+def test_high_multiplicity_null_lines_are_found_once_and_exactly(m, c):
+    # the (m-1)-fold line constants spread over about eps^(1/(m-1)) in
+    # np.roots, which no float cluster gate decides; gcd(P, P') does
+    curve = ParaCurve(_shifted_power(m, c), _shifted_power(m + 1, c))
+    domain = Domain(-1 + float(c), 1 + float(c), -1, 1)
+    lines = [sc.line for sc in trace_singular_curves(curve, domain, 64) if sc.kind == "null-line"]
+    assert sorted(kind for kind, _ in lines) == ["difference", "sum"]
+    assert all(abs(value - c) <= 1e-12 for _, value in lines)
+
+
+def test_real_roots_of_a_square_free_exact_polynomial_with_close_roots():
+    # (t - a)(t - b)(t + 1) with a = 1/1000, b = 2/1000: simple roots, each once
+    a, b = Fraction(1, 1000), Fraction(2, 1000)
+    p = Poly1([a * b, a * b - (a + b), 1 - (a + b), 1])
+    assert [round(r, 12) for r in p.real_roots()] == [-1.0, 0.001, 0.002]
