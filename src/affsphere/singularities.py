@@ -5,35 +5,37 @@ chart differential; the singular set is its zero locus.  Tracing extracts
 that locus on a grid by marching squares plus an analytic sweep for zero
 lines of even multiplicity, which sign-based extraction cannot see.  At a
 singular point the kernel direction of the differential, the rank of the
-lifted map, two algebraic frontal conditions, and the determinant criterion
-det(gamma', eta) with its arc-length derivative decide the class label.
+lifted map, two algebraic frontal conditions, and the front criteria of
+Kokubu, Rossman, Saji, Umehara and Yamada decide the class label:
+D = det(gamma', eta) != 0 gives a cuspidal edge, D = 0 with dD/dt != 0 a
+swallowtail.
 
-Classification runs on arrays of points.  `_classify_points` takes each
-stage once, on all rows that reach it: lift ranks from one stack of SVDs; the
-branch, frontal-not-front and degenerate masks; five-point windows marched
-by a masked Newton projection, both halves of every window in one set of
-rows; the null fields along them; det(gamma', eta) and its stencil
-derivative; and the psi test on exact null lines.  A report makes one such
-call, on its nodes, swallowtail roots and probes together, so it costs a
-fixed number of kernel calls, not a number per traced node.
-`classify_point`, `ccr_psi`, `lift_rank` and `null_vector` are one-row calls.
-No stage recomputes what an earlier one computed: Newton iterates on its
-undecided rows only, and the swallowtail search takes its det from the jets
-of its projections and its roots from the projections `_brent` evaluated.
+Every quantity in these criteria is a polynomial jet of F and G, so
+classification is a function of the jets at the point, with no solver.
+`_classify_points` takes each stage once, on all rows that reach it: lift
+ranks from |dnu(eta)| against |dnu|; the branch, frontal-not-front and
+degenerate masks; D and dD/dt in closed form from one kernel pass over the
+first three derivatives of F and G (`_front_jet`); and the psi test of
+Fujimori, Saji, Umehara and Yamada on a five-point window along each exact
+null line.  A report makes one such call, on its nodes, swallowtail roots
+and probes together, so it costs a fixed number of kernel calls, not a
+number per traced node.  Swallowtails are common zeros of lam and
+Lambda = grad lam . c, c the chosen rotated row of the chart matrix: one
+batched 2x2 Newton (`_swallowtail_newton`) from the midpoints of the
+brackets where D changes sign between traced nodes.  `classify_point`,
+`ccr_psi`, `lift_rank` and `null_vector` are one-row calls.
 
 Each primitive has one implementation that every stage shares, acting on
 the last axis of arrays (one point is a (2,) row) with the same IEEE
 operations per row as for a single point, so a row of a batch equals its
-one-row result bit for bit: the level-set tangent rot(grad lam)
-(`_level_tangent`) with its sign alignment (`_aligned`), the null direction
-of the chart matrix (`_null_candidates`, `_null_direction`), the five-point
-windows marched along {lam = 0} or stepped along an exact null line
-(`_windows`), the Newton projection onto {lam = 0}
-(`_newton_project_rows`), and Brent's method (`_brent`).  `_brent` solves a
-batch of brackets in lockstep, one call of f per iteration for the lanes
-still open, and each lane returns the float scipy's brentq returns on its
-bracket: the trace solves all crossed grid edges in one call, and the
-swallowtail search all brackets of all traced curves in another.
+one-row result bit for bit: the sign alignment of vectors (`_aligned`), the
+null direction of the chart matrix (`_null_candidates`, `_null_direction`),
+the front jets (`_front_jet`), and Brent's method (`_brent`).  `_brent`
+solves a batch of brackets in lockstep, one call of f per iteration for the
+lanes still open, and each lane returns the float scipy's brentq returns on
+its bracket: the trace solves all crossed grid edges in one call.  The
+Newton projection onto {lam = 0} (`_newton_project_rows`) snaps the CLI's
+probes.
 """
 
 from __future__ import annotations
@@ -69,7 +71,9 @@ class BranchPointError(ValueError):
 
 
 class TraceRequired(RuntimeError):
-    """Classification needed a singular curve through the point and none exists."""
+    """The point is on no singular curve the test runs along: a front point off
+    the given traced polylines (classify_point), or a point off every exact
+    frontal-not-front null line or whose window there has no null field (ccr_psi)."""
 
 
 @dataclass(frozen=True)
@@ -144,18 +148,6 @@ def _aligned(vec, ref):
     return np.where((_dot(vec, ref) < 0)[..., None], -vec, vec)
 
 
-def _level_tangent(jet):
-    """(unit rot(grad lam), |grad lam|), tangents of the level sets of lam, from
-    the density jets (lam, lam_u, lam_v) of rows of points."""
-    _, gu, gv = jet
-    return _unit(np.stack([-gv, gu], axis=-1))
-
-
-def _newton_tol(sing):
-    """Newton tolerance of the window marches and the swallowtail projections."""
-    return np.maximum(1e-13, sing * 1e-4)
-
-
 def _newton_project_rows(surf, q, tol, max_travel):
     """Nearest-point Newton iteration onto {lam = 0} from every row of q, with
     per-row tol and max_travel.
@@ -208,14 +200,15 @@ def _newton_project_rows(surf, q, tol, max_travel):
 # -- null directions --------------------------------------------------------
 
 
-def _chart_matrix(surf, u, v):
-    """Differential of (u, v) -> (x1, x2); its determinant is the density.
-
-    2 x 2 at a point; for arrays of points the two leading axes index the matrix.
-    """
-    f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
-    s = surf.curve.unit_sq
+def _chart(f1u, f2u, g1u, g2u, s):
+    """Chart matrix of the components of F' and G', or of any of their partials,
+    which enter it linearly: 2 x 2 at a point, the two leading axes on arrays."""
     return np.array([[f1u - s * g1u, s * f2u - g2u], [s * f2u + g2u, s * f1u + g1u]])
+
+
+def _chart_matrix(surf, u, v):
+    """Differential of (u, v) -> (x1, x2); its determinant is the density."""
+    return _chart(*surf.chart_derivatives(u, v), surf.unit_sq)
 
 
 def _null_candidates(m):
@@ -223,11 +216,15 @@ def _null_candidates(m):
     return np.stack([-m[0, 1], m[0, 0]], axis=-1), np.stack([-m[1, 1], m[1, 0]], axis=-1)
 
 
+def _first_is_larger(c1, c2):
+    """Where the first rotated-row candidate is at least as long as the second."""
+    return np.hypot(c1[..., 0], c1[..., 1]) >= np.hypot(c2[..., 0], c2[..., 1])
+
+
 def _null_direction(m):
     """(unit vector, length) of the larger rotated-row candidate; callers set the floor."""
     c1, c2 = _null_candidates(m)
-    n1, n2 = np.hypot(c1[..., 0], c1[..., 1]), np.hypot(c2[..., 0], c2[..., 1])
-    return _unit(np.where((n1 >= n2)[..., None], c1, c2))
+    return _unit(np.where(_first_is_larger(c1, c2)[..., None], c1, c2))
 
 
 def null_vector(curve, p):
@@ -260,19 +257,27 @@ def _lift_frames(surf, u, v):
     return x.du, x.dv, nu.value, nu.du, nu.dv
 
 
-def _lift_ranks(curve, frames):
-    """Numeric ranks of the 6x2 Jacobians of (position, unit normal), one SVD stack."""
+def _lift_ranks(frames, eta):
+    """Ranks of the lift (position, unit normal) at rows with null direction eta.
+
+    At a singular point with null direction eta the lift is an immersion
+    exactly when dnu(eta) != 0, so the rank is 2 where |dnu(eta)| > 1e-9 |dnu|
+    (Frobenius norm), 0 where dx and dnu are both zero, and 1 otherwise: a
+    test homogeneous in the scale of F and G.
+    """
     x_u, x_v, _, n_u, n_v = frames
-    jac = np.stack([np.concatenate(col, axis=1) for col in ((x_u, n_u), (x_v, n_v))], axis=-1)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    floor = 1e-9 * curve.coeff_scale
-    return np.where(sv[:, 0] <= floor, 0, np.where(sv[:, 1] > 1e-7 * sv[:, 0], 2, 1))
+    n_eta = eta[:, 0:1] * n_u + eta[:, 1:2] * n_v
+    flat = ~np.any(np.concatenate([x_u, x_v, n_u, n_v], axis=-1) != 0.0, axis=-1)
+    immersed = np.sqrt(_dot(n_eta, n_eta)) > 1e-9 * np.sqrt(_dot(n_u, n_u) + _dot(n_v, n_v))
+    return np.where(immersed, 2, np.where(flat, 0, 1))
 
 
 def lift_rank(curve, p) -> int:
-    """Numeric rank of the 6x2 Jacobian of (position, unit normal)."""
+    """Rank of the lift (position, unit normal) at p: one row of `_lift_ranks`."""
+    surf = compile_surface(curve)
     u, v = _rows([p]).T
-    return int(_lift_ranks(curve, _lift_frames(compile_surface(curve), u, v))[0])
+    eta, _ = _null_direction(_chart_matrix(surf, u, v))
+    return int(_lift_ranks(_lift_frames(surf, u, v), eta)[0])
 
 
 # -- frontal-not-front conditions --------------------------------------------
@@ -617,7 +622,8 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
     if not polylines:
         return []
     nodes = np.concatenate(polylines)
-    level, norm = _level_tangent(surf.density_jet(nodes[:, 0], nodes[:, 1]))
+    _, gu, gv = surf.density_jet(nodes[:, 0], nodes[:, 1])
+    level, norm = _unit(np.stack([-gv, gu], axis=-1))  # unit rot(grad lam), |grad lam|
     cuts = np.cumsum([len(pts) for pts in polylines])[:-1]
     levels, flags = np.split(level, cuts), np.split(norm <= tols.deg, cuts)
     curves = [
@@ -636,93 +642,42 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
     return curves
 
 
-# -- local windows along the singular curve -----------------------------------
-
-# offsets, in units of the spacing h, of the five-point stencil
-_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+# -- front criteria from jets -----------------------------------------------------
 
 
-def _stencil_derivative(values, h):
-    """Derivative at the middle of five samples values[0..4] with spacing h."""
-    return (-values[4] + 8 * values[3] - 8 * values[1] + values[0]) / (12 * h)
+def _front_jet(surf, u, v, first=None):
+    """The front criteria and their Newton system at the rows (u, v), from one
+    `Surface.chart_jet` pass, with no projection onto {lam = 0}.
 
+    c is the rotated row of the chart matrix m that `_null_direction` picks,
+    or, where first is given, the first row where it is True and the second
+    elsewhere; Lambda = grad lam . c.  With gamma' = rot(grad lam) / |grad lam|
+    and eta = c / |c|, D = det(gamma', eta) = -Lambda / (|grad lam| |c|) and
+    dD/dt = grad D . gamma', where grad Lambda = H c + (Dc)^T grad lam takes
+    the Hessian H of lam and the partials of c, the rotated rows of the
+    partials of m.  grad lam and c are made unit, and H and Dc divided by
+    those lengths, before any product is formed, so every term is scale-free.
 
-def _march_windows(surf, p, tols, h):
-    """Points at arc-length offsets -2h .. 2h along {lam = 0} through each row of p.
-
-    Tangent steps plus Newton projection from the projected centre; the
-    gradient must stay above tols.deg on the way.  The forward half (slots
-    3, 4, along +t) and the backward half (slots 1, 0, along -t) march as one
-    set of rows, each half-row with its own sign, so a window takes three
-    `_newton_project_rows` calls: the centre and two steps.  Returns
-    (points, tangents), (n, 5, 2) each and ordered by offset, and the mask of
-    rows whose window exists: both halves reached slot 4 or 0.  A half that
-    fails stops marching; the other half goes on.
+    Returns (D, dD/dt, lam / |grad lam|, unit grad lam, grad Lambda /
+    (|grad lam| |c|), first).  The middle three and -D = Lambda / (|grad lam|
+    |c|) are the Newton system on (lam, Lambda), each equation divided by its
+    scale.
     """
-    tol = _newton_tol(tols.sing)
-    travel = 10 * h
-    points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
-    q0, ok, jet = _newton_project_rows(surf, p, tol, travel)
-    rows = np.flatnonzero(ok)
-    t0, norm = _level_tangent(jet[:, rows])
-    smooth = ~(norm <= tols.deg[rows])
-    rows, t0 = rows[smooth], t0[smooth]
-    points[rows, 2], dirs[rows, 2] = q0[rows], t0
-    # the forward half-rows, then the backward ones
-    live = np.concatenate([rows, rows])
-    sign = np.repeat([1.0, -1.0], len(rows))
-    q, t = q0[live], sign[:, None] * np.concatenate([t0, t0])
-    for step in (1, 2):
-        q, ok, jet = _newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
-        live, sign, q, t = live[ok], sign[ok], q[ok], t[ok]
-        t_next, norm = _level_tangent(jet[:, ok])
-        smooth = ~(norm <= tols.deg[live])
-        live, sign, q = live[smooth], sign[smooth], q[smooth]
-        t = _aligned(t_next[smooth], t[smooth])
-        slot = (2 + step * sign).astype(int)
-        points[live, slot], dirs[live, slot] = q, sign[:, None] * t
-    ok = np.zeros(len(p), dtype=bool)
-    ok[np.intersect1d(live[sign > 0], live[sign < 0])] = True
-    return points, dirs, ok
-
-
-def _null_fields(surf, points, branch):
-    """Unit null vectors along windows of points (n, 5, 2), and a mask of rows where they exist.
-
-    One rotated-row candidate serves a whole window: the one whose smallest
-    length over it is larger, the first on a tie.  A row fails when that
-    length is within its branch tolerance.  Signs follow the first point.
-    """
-    c1, c2 = _null_candidates(_chart_matrix(surf, points[..., 0], points[..., 1]))
-    n1, n2 = np.hypot(c1[..., 0], c1[..., 1]), np.hypot(c2[..., 0], c2[..., 1])
-    second = n2.min(axis=1) > n1.min(axis=1)
-    ok = ~(np.where(second, n2.min(axis=1), n1.min(axis=1)) <= branch)
-    etas = _unit(np.where(second[:, None, None], c2, c1))[0]
-    for k in range(1, 5):
-        etas[:, k] = _aligned(etas[:, k], etas[:, k - 1])
-    return etas, ok
-
-
-def _windows(surf, p, tols, h, kinds):
-    """(points, tangents, etas, ok) of the five-point stencils with spacing h at the rows of p.
-
-    A row whose kind is "sum" or "difference" steps along that exact null
-    line through it; a row of kind None marches along {lam = 0}.  ok marks
-    the rows whose window and null field exist.
-    """
-    on_line = np.array([k is not None for k in kinds], dtype=bool)
-    points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
-    ok = np.ones(len(p), dtype=bool)
-    rows = np.flatnonzero(on_line)
-    direction = np.array([_NULL_LINE_DIRECTION[k] for k in kinds[rows]]).reshape(-1, 1, 2)
-    points[rows] = p[rows, None, :] + (h[rows, None] * _STENCIL)[:, :, None] * direction
-    dirs[rows] = direction
-    rows = np.flatnonzero(~on_line)
-    points[rows], dirs[rows], ok[rows] = _march_windows(surf, p[rows], tols.rows(rows), h[rows])
-    etas = np.zeros_like(points)
-    rows = np.flatnonzero(ok)
-    etas[rows], ok[rows] = _null_fields(surf, points[rows], tols.branch[rows])
-    return points, dirs, etas, ok
+    s = surf.unit_sq
+    lam, grad, hess, comps = surf.chart_jet(u, v)
+    (c1, c2), *partials = (_null_candidates(_chart(*x, s)) for x in comps)
+    first = _first_is_larger(c1, c2) if first is None else first
+    g_hat, g_norm = _unit(np.stack(grad, axis=-1))
+    c_hat, c_norm = _unit(np.where(first[:, None], c1, c2))
+    (gu, gv), (cx, cy) = g_hat.T, c_hat.T
+    huu, huv, hvv = (h / g_norm for h in hess)
+    (cux, cuy), (cvx, cvy) = (np.where(first[:, None], a, b).T / c_norm for a, b in partials)
+    det = -(gu * cx + gv * cy)
+    big_u = huu * cx + huv * cy + gu * cux + gv * cuy
+    big_v = huv * cx + hvv * cy + gu * cvx + gv * cvy
+    det_u = -big_u - det * (huu * gu + huv * gv + cx * cux + cy * cuy)
+    det_v = -big_v - det * (huv * gu + hvv * gv + cx * cvx + cy * cvy)
+    return det, gu * det_v - gv * det_u, lam / g_norm, (gu, gv), (big_u, big_v), first
 
 
 # -- point classification ------------------------------------------------------
@@ -730,7 +685,13 @@ def _windows(surf, p, tols, h, kinds):
 
 @dataclass(frozen=True)
 class Evidence:
-    """Numbers behind a verdict; unevaluated entries stay None."""
+    """Numbers behind a verdict; unevaluated entries stay None.
+
+    det_ge and ddet_ge are D = det(gamma', eta) and dD/dt of the front
+    criteria, closed forms in the jets of F and G at the point (`_front_jet`);
+    psi0 and dpsi0 are Psi(0) and Psi'(0) of the cuspidal-cross-cap test on an
+    exact null line (`ccr_psi`).
+    """
 
     density: float
     grad_norm: float
@@ -758,10 +719,10 @@ def _classify_points(curve, pts) -> list:
     """Class labels of the points of the surface over the rows of pts, with evidence.
 
     Decision order per row: regular; branch point; the two frontal-not-front
-    conditions; degenerate gradient; then the front criteria det(gamma', eta)
-    and its arc-length derivative on a five-point window marched along the
-    singular curve.  Each stage runs once, on the array of rows that reach
-    it.  The tag is None where the window or its null field does not exist.
+    conditions; degenerate gradient; then the front criteria, D =
+    det(gamma', eta) and dD/dt from the jets at the point (`_front_jet`).
+    Each stage runs once, on the array of rows that reach it, and every row
+    gets a tag.
     """
     p = _rows(pts)
     if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
@@ -777,8 +738,10 @@ def _classify_points(curve, pts) -> list:
     rank, det0, ddet, psi0, dpsi0 = (np.full(n, None, dtype=object) for _ in range(5))
 
     rows = np.flatnonzero(~(np.abs(lam) > tols.sing))
-    rank[rows] = _lift_ranks(curve, _lift_frames(surf, u[rows], v[rows])).tolist()
-    branch = np.max(np.abs(surf.chart_derivatives(u[rows], v[rows])), axis=0) <= tols.branch[rows]
+    comps = surf.chart_derivatives(u[rows], v[rows])
+    eta, _ = _null_direction(_chart(*comps, surf.unit_sq))
+    rank[rows] = _lift_ranks(_lift_frames(surf, u[rows], v[rows]), eta).tolist()
+    branch = np.max(np.abs(comps), axis=0) <= tols.branch[rows]
     tags[rows[branch]] = TAG_BRANCH
     rows = rows[~branch]
 
@@ -790,17 +753,13 @@ def _classify_points(curve, pts) -> list:
     tags[rows[degenerate[rows]]] = TAG_DEGENERATE_OTHER
     rows = rows[~degenerate[rows]]
 
-    h = 0.01 * np.maximum(1.0, np.maximum(np.abs(u[rows]), np.abs(v[rows])))
-    _, dirs, etas, ok = _windows(surf, p[rows], tols.rows(rows), h, np.full(len(rows), None))
-    dets = _det2(dirs, etas)
-    d, dd = dets[:, 2], _stencil_derivative(dets.T, h)
+    d, dd, *_ = _front_jet(surf, u[rows], v[rows])
     two = rank[rows] == 2
     swallowtail = two & (np.abs(d) <= _DET_TOL) & (np.abs(dd) > _DET_TOL)
     tags[rows] = np.where(
         two & (np.abs(d) > _DET_TOL), TAG_CUSPIDAL_EDGE,
         np.where(swallowtail, TAG_SWALLOWTAIL, TAG_FRONT_UNCLASSIFIED),
     ).tolist()
-    tags[rows[~ok]] = None
     det0[rows], ddet[rows] = d.tolist(), dd.tolist()
 
     return [
@@ -819,29 +778,53 @@ def _classify_points(curve, pts) -> list:
 def classify_point(curve, p, traced=None) -> SingularClass:
     """Class label of the point of the surface over p, with evidence.
 
-    One row of `_classify_points`.  When `traced` is given, p must lie on
-    one of its polylines for the front criteria; otherwise a local window is
-    marched directly.  Raises TraceRequired when the front criteria need a
-    window that does not exist.
+    One row of `_classify_points`, decided from the jets at p alone.  When
+    `traced` is given and the front criteria decide, p must lie within four
+    grid cells (and at least 0.04 of its scale) of a node of the traced
+    polylines; otherwise TraceRequired is raised.
     """
     cls = _classify_points(curve, [p])[0]
     u, v = float(p[0]), float(p[1])
     # the snap check guards the front criteria, the rows that carry det_ge
-    if traced is not None and (cls.tag is None or cls.evidence.det_ge is not None):
-        h = 0.01 * max(1.0, abs(u), abs(v))
+    if traced is not None and cls.evidence.det_ge is not None:
         cell = max(
             float(np.hypot(*np.ptp(sc.points, axis=0))) / max(len(sc) - 1, 1)
             for sc in traced
         ) if traced else 0.0
         nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
-        if not (np.hypot(nodes[:, 0] - u, nodes[:, 1] - v) <= max(4 * cell, 4 * h)).any():
+        reach = max(4 * cell, 0.04 * max(1.0, abs(u), abs(v)))
+        if not (np.hypot(nodes[:, 0] - u, nodes[:, 1] - v) <= reach).any():
             raise TraceRequired(f"({u}, {v}) is not on a traced singular curve")
-    if cls.tag is None:
-        raise TraceRequired(f"no smooth non-degenerate singular curve through {(u, v)}")
     return cls
 
 
 # -- cuspidal cross cap obstruction ---------------------------------------------
+
+# offsets, in units of the spacing _PSI_H, of the five-point stencil along a null line
+_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+_PSI_H = 0.01
+
+
+def _stencil_derivative(values, h):
+    """Derivative at the middle of five samples values[0..4] with spacing h."""
+    return (-values[4] + 8 * values[3] - 8 * values[1] + values[0]) / (12 * h)
+
+
+def _null_fields(surf, points, branch):
+    """Unit null vectors along windows of points (n, 5, 2), and a mask of rows where they exist.
+
+    One rotated-row candidate serves a whole window: the one whose smallest
+    length over it is larger, the first on a tie.  A row fails when that
+    length is within its branch tolerance.  Signs follow the first point.
+    """
+    c1, c2 = _null_candidates(_chart_matrix(surf, points[..., 0], points[..., 1]))
+    n1, n2 = np.hypot(c1[..., 0], c1[..., 1]), np.hypot(c2[..., 0], c2[..., 1])
+    second = n2.min(axis=1) > n1.min(axis=1)
+    ok = ~(np.where(second, n2.min(axis=1), n1.min(axis=1)) <= branch)
+    etas = _unit(np.where(second[:, None, None], c2, c1))[0]
+    for k in range(1, 5):
+        etas[:, k] = _aligned(etas[:, k], etas[:, k - 1])
+    return etas, ok
 
 
 def _psi_values(frames, dirs, etas):
@@ -856,26 +839,26 @@ def _psi_values(frames, dirs, etas):
     return np.linalg.det(np.stack([gamma_dot, d_eta_nu, nu], axis=-2))
 
 
-# stencil spacing of the cuspidal-cross-cap test
-_PSI_H = 0.01
+def _psi_windows(surf, p, branch, kinds):
+    """(Psi(0), Psi'(0), ok, centre frames) at the rows of p; see `ccr_psi`.
 
-
-def _psi_windows(surf, p, tols, kinds):
-    """(Psi(0), Psi'(0), ok, centre frames) at the singular rows of p; see `ccr_psi`.
-
-    kinds: the frontal-not-front kind of each row, whose window is the exact
-    null line, or None for a marched window.  ok marks the rows whose window
-    exists; the values of the others are meaningless.  The centre frames are
-    the `_lift_frames` of the ok rows at their window's centre.
+    kinds: the frontal-not-front kind ("sum" or "difference") of each row;
+    its five-point window, spacing _PSI_H, lies on that exact null line
+    through the row.  ok marks the rows whose null field exists along the
+    window (`_null_fields`, branch: the rows' tolerances); the values of the
+    others are meaningless.  The centre frames are the `_lift_frames` of the
+    ok rows at their window's centre.
     """
     if not len(p):  # most curves have no frontal-not-front rows
         return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), [np.zeros((0, 3))] * 5
-    points, dirs, etas, ok = _windows(surf, p, tols, np.full(len(p), _PSI_H), kinds)
+    direction = np.array([_NULL_LINE_DIRECTION[k] for k in kinds]).reshape(-1, 1, 2)
+    points = p[:, None, :] + (_PSI_H * _STENCIL)[:, None] * direction
+    etas, ok = _null_fields(surf, points, branch)
     rows = np.flatnonzero(ok)
     flat = points[rows].reshape(-1, 2)
     frames = [f.reshape(len(rows), 5, 3) for f in _lift_frames(surf, flat[:, 0], flat[:, 1])]
     psis = np.zeros((len(p), 5))
-    psis[rows] = _psi_values(frames, dirs[rows], etas[rows])
+    psis[rows] = _psi_values(frames, direction[rows], etas[rows])
     return psis[:, 2], _stencil_derivative(psis.T, _PSI_H), ok, [f[:, 2] for f in frames]
 
 
@@ -885,16 +868,17 @@ def _fnf_psi(surf, p, tols, rows):
     along their null lines."""
     kinds = _fnf_kind(surf, p[rows, 0], p[rows, 1], tols.rows(rows))
     fnf = np.array([k is not None for k in kinds], dtype=bool)
-    return (fnf, *_psi_windows(surf, p[rows[fnf]], tols.rows(rows[fnf]), kinds[fnf]))
+    return (fnf, *_psi_windows(surf, p[rows[fnf]], tols.branch[rows[fnf]], kinds[fnf]))
 
 
 def ccr_psi(curve, p):
-    """(Psi(0), Psi'(0)) for the cuspidal-cross-cap test along the curve at p.
+    """(Psi(0), Psi'(0)) for the cuspidal-cross-cap test at p on an exact null line.
 
-    Psi(t) = det(dpsi(gamma'), D_eta nu, nu) along the singular curve through
-    p; the derivative comes from a 5-point stencil with spacing _PSI_H.
-    At frontal-not-front points the curve is the exact null line; elsewhere a
-    marched window is used.  Raises TraceRequired when neither exists.
+    Psi(t) = det(dpsi(gamma'), D_eta nu, nu) along the frontal-not-front null
+    line through p; the derivative comes from a 5-point stencil with spacing
+    _PSI_H along the line.  Raises NotSingular off the singular set, and
+    TraceRequired where p is on no such line or the null field vanishes on
+    the window.
     """
     surf = compile_surface(curve)
     q = _rows([p])
@@ -902,12 +886,13 @@ def ccr_psi(curve, p):
     lam, _, _ = surf.density_jet(q[:, 0], q[:, 1])
     if np.abs(lam[0]) > tols.sing[0]:
         raise NotSingular(f"({q[0, 0]}, {q[0, 1]}) is not singular")
-    psi0, dpsi0, ok, _ = _psi_windows(surf, q, tols, _fnf_kind(surf, q[:, 0], q[:, 1], tols))
+    kinds = _fnf_kind(surf, q[:, 0], q[:, 1], tols)
+    if kinds[0] is None:
+        raise TraceRequired(f"{tuple(p)} is on no frontal-not-front null line")
+    psi0, dpsi0, ok, _ = _psi_windows(surf, q, tols.branch, kinds)
     if not ok[0]:
-        raise TraceRequired(f"no five-point window along a singular curve through {tuple(p)}")
+        raise TraceRequired(f"the null field vanishes on the null line window at {tuple(p)}")
     return float(psi0[0]), float(dpsi0[0])
-
-
 @functools.cache
 def ccr_psi_control():
     """Same test on the frontal (u, v^2, u v^3), which has nonzero Psi'(0).
@@ -963,20 +948,9 @@ def _null_line_psi(curve, domain):
 # -- swallowtail search ----------------------------------------------------------
 
 
-def _frame_dets(surf, q, jet, ref_dir, ref_eta):
-    """det(gamma', eta) at the rows of q, the level tangent gamma' and null
-    direction eta `_aligned` with the reference rows; 0 where either vanishes.
-
-    jet: the density jet at the rows of q, as `_project_or_keep` returns it."""
-    t, t_norm = _level_tangent(jet)
-    eta, eta_norm = _null_direction(_chart_matrix(surf, q[:, 0], q[:, 1]))
-    defined = (t_norm != 0.0) & (eta_norm != 0.0)
-    return np.where(defined, _det2(_aligned(t, ref_dir), _aligned(eta, ref_eta)), 0.0)
-
-
 def _node_dets(surf, pts, tangents, degenerate):
-    """(det(gamma', eta), eta) at the concatenated nodes of traced curves, det
-    NaN where undefined, eta the null direction as `_null_direction` gives it.
+    """det(gamma', eta) at the concatenated nodes of traced curves, NaN where
+    undefined, eta the null direction as `_null_direction` gives it.
 
     One array pass over the nodes of all curves.  gamma' is the curve's
     tangent, which is +-rot(grad lam) exactly at every node not flagged
@@ -994,38 +968,58 @@ def _node_dets(surf, pts, tangents, degenerate):
     flips = [np.where(_dot(x[1:], x[:-1]) < 0, -1.0, 1.0) for x in (t, eta)]
     dets = np.full(len(pts), np.nan)
     dets[rows] = _det2(t, eta) * np.cumprod(np.concatenate([[1.0], flips[0] * flips[1]]))[:len(rows)]
-    return dets, etas
+    return dets
 
 
-def _project_or_keep(surf, curve, q):
-    """(rows, jet): the rows of q Newton-projected onto {lam = 0}, a row whose
-    projection fails kept in place, and the density jet at the rows returned.
-
-    A projected row takes the jet Newton computed at its projection; the kept
-    rows take one density_jet call, made only when some row is kept."""
-    tol = _newton_tol(_point_tols(curve, q).sing)
-    proj, ok, jet = _newton_project_rows(surf, q, tol, np.full(len(q), np.inf))
-    kept = np.flatnonzero(~ok)
-    if kept.size:
-        jet[:, kept] = surf.density_jet(q[kept, 0], q[kept, 1])
-    return np.where(ok[:, None], proj, q), jet
+_NEWTON_MAXITER = 30
 
 
-def _swallowtail_roots(surf, curve, traced):
-    """(n, 2) zeros of det(gamma', eta) along the traced curves, in bracket order.
+def _swallowtail_newton(surf, seeds, reach):
+    """Common zeros of lam and Lambda near the rows of seeds, by a batched 2x2 Newton.
 
-    Every pair of consecutive nodes where det changes sign is a bracket, and
-    all brackets of all curves are solved in one lockstep `_brent` call,
-    det evaluated at the Newton projections of the points of the segment.
-    `_brent` returns only parameters s it evaluated det at, so each root is
-    the projection that evaluation made, kept by (bracket, s) for this call.
+    The system is `_front_jet`'s, with c's row fixed at the one the seed
+    picks.  A step is cut to a quarter of the row's reach at most, so that
+    a seed far from the quadratic basin of its root does not jump to
+    another.  A row stops at a Newton step of at most 4 eps max(1, |q|) and
+    returns the iterate after it; it has no root (NaN) where a step is not
+    finite, where an iterate is farther than its reach from its seed, or
+    after _NEWTON_MAXITER steps.  Each step is one kernel pass over the rows
+    still undecided.
+    """
+    roots = np.full_like(seeds, np.nan)
+    rows, q, first = np.arange(len(seeds)), seeds, None
+    for _ in range(_NEWTON_MAXITER):
+        if not rows.size:
+            break
+        # a zero grad lam or c, a singular system or an overflow makes the
+        # step non-finite, and its row drops out
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det, _, lam, (gu, gv), (lu, lv), first = _front_jet(surf, q[:, 0], q[:, 1], first)
+            jac = gu * lv - gv * lu
+            step = np.stack([-(lv * lam + gv * det), lu * lam + gu * det], axis=-1) / jac[:, None]
+            size = np.hypot(*step.T)
+            nxt = q + step * np.minimum(1.0, 0.25 * reach[rows] / size)[:, None]
+            near = np.hypot(*(nxt - seeds[rows]).T) <= reach[rows]
+            done = size <= 4 * np.finfo(float).eps * np.maximum(1.0, np.hypot(*q.T))
+        roots[rows[near & done]] = nxt[near & done]
+        going = near & ~done
+        rows, q, first = rows[going], nxt[going], first[going]
+    return roots
+
+
+def _swallowtail_roots(surf, traced):
+    """(n, 2) swallowtail candidates along the traced curves, in bracket order.
+
+    Every pair of consecutive nodes where det(gamma', eta) changes sign is a
+    bracket (`_node_dets`).  Each bracket seeds `_swallowtail_newton` at its
+    midpoint, with its length as the reach; a seed without a root gives none.
     """
     curves = [sc for sc in traced if sc.kind == "traced"]
     if not curves:
         return np.zeros((0, 2))
     pts, tangents, flags = (np.concatenate([getattr(sc, name) for sc in curves])
                             for name in ("points", "tangents", "degenerate_flags"))
-    dets, etas = _node_dets(surf, pts, tangents, flags)
+    dets = _node_dets(surf, pts, tangents, flags)
     sizes = np.array([len(sc) for sc in curves])
     ends = np.cumsum(sizes)
     k_next = np.arange(1, ends[-1] + 1)  # node k's bracket ends at the next node,
@@ -1033,25 +1027,9 @@ def _swallowtail_roots(surf, curve, traced):
     bracket = dets * dets[k_next] <= 0  # False where either det is NaN
     bracket[ends[~np.array([sc.closed for sc in curves])] - 1] = False  # open curves have no last bracket
     k = np.flatnonzero(bracket)
-    if not k.size:
-        return np.zeros((0, 2))
-    # constant references, the first node's tangent and null direction, keep
-    # the sign of det continuous while `_brent` samples a bracket out of order;
-    # a bracket node is not degenerate, so its tangent is +-rot(grad lam) there
-    pa, pb, dir0, eta0 = pts[k], pts[k_next[k]], tangents[k], etas[k]
-
-    projected = {}  # (bracket, s) -> the projected point det was evaluated at
-
-    def det_along(s, lanes):
-        q, jet = _project_or_keep(surf, curve, (1 - s)[:, None] * pa[lanes] + s[:, None] * pb[lanes])
-        projected.update(zip(zip(lanes.tolist(), s.tolist()), q))
-        return _frame_dets(surf, q, jet, dir0[lanes], eta0[lanes])
-
-    lanes = np.arange(len(pa))  # both ends of every bracket in one call
-    fa, fb = np.split(det_along(np.repeat([0.0, 1.0], len(pa)), np.tile(lanes, 2)), 2)
-    s = _brent(det_along, np.zeros(len(pa)), np.ones(len(pa)), fa, fb, xtol=1e-13)
-    hit = np.flatnonzero(~np.isnan(s))
-    return np.array([projected[key] for key in zip(hit.tolist(), s[hit].tolist())]).reshape(-1, 2)
+    pa, pb = pts[k], pts[k_next[k]]
+    roots = _swallowtail_newton(surf, 0.5 * (pa + pb), np.hypot(*(pb - pa).T))
+    return roots[~np.isnan(roots[:, 0])]
 
 
 def _swallowtails(roots, classes):
@@ -1069,7 +1047,7 @@ def _swallowtails(roots, classes):
 def locate_swallowtails(curve, traced):
     """Zeros of det(gamma', eta) along traced curves that classify as swallowtails:
     `_swallowtail_roots`, one `_classify_points` call, then `_swallowtails`."""
-    roots = _swallowtail_roots(compile_surface(curve), curve, traced)
+    roots = _swallowtail_roots(compile_surface(curve), traced)
     return _swallowtails(roots, _classify_points(curve, roots))
 
 
@@ -1088,17 +1066,11 @@ def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict
     traced = trace_singular_curves(curve, domain, grid_res)
     probes = list(probes)
     nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
-    roots = _swallowtail_roots(compile_surface(curve), curve, traced)
+    roots = _swallowtail_roots(compile_surface(curve), traced)
     classes = _classify_points(curve, np.concatenate([nodes, roots, _rows(probes)]))
-    # a node without a window is dropped, and a probe without one is
-    # FrontUnclassified with only its density evidence
-    entries = [(q, cls) for q, cls in zip(nodes, classes) if cls.tag is not None]
+    entries = list(zip(nodes, classes))
     entries += _swallowtails(roots, classes[len(nodes):len(nodes) + len(roots)])
-    for q, cls in zip(probes, classes[len(nodes) + len(roots):]):
-        if cls.tag is None:
-            evidence = Evidence(density=cls.evidence.density, grad_norm=cls.evidence.grad_norm)
-            cls = SingularClass(TAG_FRONT_UNCLASSIFIED, cls.point, evidence, degenerate=False)
-        entries.append((q, cls))
+    entries += zip(probes, classes[len(nodes) + len(roots):])
     points = [
         {"u": float(q[0]), "v": float(q[1]), "class": cls.tag, "degenerate": cls.degenerate,
          "evidence": cls.evidence.as_dict()}

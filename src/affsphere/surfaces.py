@@ -212,13 +212,15 @@ _BLOCK_NODES = 1 << 16
 class Surface:
     """Fields of the surface of a curve pair, evaluated from F and G.
 
-    The float kernel holds the coefficient vectors of F, G, F', G', F'', G''
-    and K = Int (G dF - F dG).  Points (``field_jets``, ``density_jet``,
-    ``chart_derivatives`` and the Jet2 views) use planar Horner on Python
-    floats, for s = +1 two passes of the grids' real Horner (``_horner_real``)
-    in the null coordinates u + v and u - v.  On arrays of points the three
-    make one Horner pass over a table stacking the lists they need
-    (``_eval``), bit for bit the per-point values (``_horner``); grids run
+    The float kernel holds the Horner lists of F, F', F'', G, G', G'',
+    K = Int (G dF - F dG), K', K'', F''' and G''' (the last two give the
+    Hessian of the density and the partials of the chart matrix).  Points
+    (``field_jets``, ``density_jet``, ``chart_jet``, ``chart_derivatives``
+    and the Jet2 views) use planar Horner on Python floats, for s = +1 two
+    passes of the grids' real Horner (``_horner_real``) in the null
+    coordinates u + v and u - v.  On arrays of points each makes one Horner
+    pass over a table stacking the lists it needs (``_eval``), bit for bit
+    the per-point values (``_horner``); grids run
     tensor Horner over dense (u, v) coefficient tables (``grid_tables``), the
     fields concurrently, each with a serial run's steps and so its bits
     (``sample_grid``).
@@ -241,17 +243,18 @@ class Surface:
         """Float coefficient vectors of F, G, F', G' and K, the Horner lists and phi(0, 0).
 
         Horner lists, one column tuple per ring coordinate, highest degree
-        first (_horner): F, F', F'', G, G', G'', K, K', K''.
+        first (_horner): F, F', F'', G, G', G'', K, K', K'', F''', G'''.
         """
         s = float(curve.unit_sq)
         n = max(len(curve.F.coeffs), len(curve.G.coeffs), 1)
         F, G = _float_planar(curve.F, n), _float_planar(curve.G, n)
         dF, dG = _derivative(F), _derivative(G)
+        d2F, d2G = _derivative(dF), _derivative(dG)
         dK = _planar_mul(G, dF, s) - _planar_mul(F, dG, s)
         K = _antiderivative(dK)
         horner = [
             tuple(tuple(c[::-1].tolist()) for c in _ring_coords(p[:, 0], p[:, 1], s))
-            for p in (F, dF, _derivative(dF), G, dG, _derivative(dG), K, dK, _derivative(dK))
+            for p in (F, dF, d2F, G, dG, d2G, K, dK, _derivative(dK), _derivative(d2F), _derivative(d2G))
         ]
         at_origin = [_horner(horner[k], 0.0, 0.0, s) for k in (0, 3, 6)]
         phi0 = _phi_closed_form(*at_origin, s)
@@ -356,6 +359,24 @@ class Surface:
         f_u, f_v = _mod_gradient(dF, d2F, s)
         g_u, g_v = _mod_gradient(dG, d2G, s)
         return s * _mod_diff(dF, dG, s), s * (f_u - g_u), s * (f_v - g_v)
+
+    def chart_jet(self, u, v):
+        """(density, its gradient, its Hessian, chart components) at a float point
+        or at arrays of points, from one pass over F', F'', F''', G', G'', G'''.
+
+        The chart components are three 4-tuples: (f1u, f2u, g1u, g2u), the
+        components of F' and G'; their u partials, the components of F'' and
+        G''; and their v partials, the components of e F'' and e G''.  The
+        density and its gradient equal density_jet's bit for bit, and the
+        first 4-tuple chart_derivatives'.
+        """
+        s = self.unit_sq
+        dF, d2F, d3F, dG, d2G, d3G = self._eval((1, 2, 9, 4, 5, 10), u, v)
+        grad = [s * (a - b) for a, b in zip(_mod_gradient(dF, d2F, s), _mod_gradient(dG, d2G, s))]
+        hess = [s * (a - b) for a, b in zip(_mod_hessian(dF, d2F, d3F, s), _mod_hessian(dG, d2G, d3G, s))]
+        (f1, f2), (g1, g2), (a1, a2), (b1, b2) = (_re_im(w, s) for w in (dF, dG, d2F, d2G))
+        comps = ((f1, f2, g1, g2), (a1, a2, b1, b2), (s * a2, a1, s * b2, b1))
+        return s * _mod_diff(dF, dG, s), grad, hess, comps
 
     def chart_derivatives(self, u, v):
         """(f1u, f2u, g1u, g2u): the components of F' and G' at a float point or arrays of points."""

@@ -1,9 +1,10 @@
 """The trace's root finding runs as lockstep array calls.
 
-Marching squares solves every crossed grid edge in one `_brent` call and
-the swallowtail search every bracket of every traced curve in another, so
-their kernel calls depend on Brent's iteration count, not on the number of
-edges or brackets; and an empty singular set reaches no solver at all.
+Marching squares solves every crossed grid edge in one `_brent` call, and
+the swallowtail search every bracket of every traced curve in one batched
+Newton, so their kernel calls depend on the iteration counts, not on the
+number of edges or brackets; and an empty singular set reaches no solver at
+all.
 """
 
 import numpy as np
@@ -46,14 +47,7 @@ def test_edge_roots_take_at_most_one_density_call_per_iteration(res, monkeypatch
 @pytest.mark.parametrize("curve", [QUAD_CUBIC, CUBIC_QUARTIC], ids=["z2z3", "z3z4"])
 def test_swallowtail_kernel_calls_do_not_grow_with_brackets(curve, monkeypatch):
     traced = sg.trace_singular_curves(curve, BOX, 64)
-    lanes = []
-    original = sg._brent
-
-    def recorded(f, a, *args, **kwargs):
-        lanes.append(len(a))
-        return original(f, a, *args, **kwargs)
-
-    monkeypatch.setattr(sg, "_brent", recorded)
+    newton = _counting(monkeypatch, sg, "_swallowtail_newton")
     kernel = _counting(monkeypatch, Surface, "_eval")
     counts = []
     for copies in (1, 4):
@@ -62,7 +56,8 @@ def test_swallowtail_kernel_calls_do_not_grow_with_brackets(curve, monkeypatch):
         counts.append(len(kernel))
     # the copies' roots coincide, so the found swallowtails do not change
     assert len(found) >= 1
-    assert lanes[1] == 4 * lanes[0] > 0
+    rows = [len(seeds) for _, seeds, _ in newton]
+    assert rows[1] == 4 * rows[0] > 0
     assert counts[1] == counts[0]
 
 
@@ -74,6 +69,7 @@ def test_empty_singular_set_reaches_no_solver(monkeypatch):
 
     monkeypatch.setattr(sg, "_brent", never)
     monkeypatch.setattr(sg, "_newton_project_rows", never)
+    monkeypatch.setattr(sg, "_swallowtail_newton", never)
     report = sg.classification_report(regular, BOX, grid_res=64)
     assert report["singular_curves"] == [] and report["points"] == []
     assert sg.locate_swallowtails(regular, []) == []

@@ -125,6 +125,25 @@ def test_kernel_matches_exact_fields(curve_cls, poly_cls, degree, scale):
         _close(surf.chart_derivatives(fu, fv), want, "chart_derivatives")
 
 
+@pytest.mark.parametrize("curve_cls, poly_cls", SIGNATURES)
+@pytest.mark.parametrize("degree, scale", [(1, None), (3, None), (8, None), (21, None), (16, 1.0)])
+def test_chart_jet_matches_exact_derivatives(curve_cls, poly_cls, degree, scale):
+    """The density's gradient and Hessian, and the components of F' and G' with
+    their u and v partials, against the exact BiPolys."""
+    rng = np.random.default_rng([degree, 7])
+    curve = _curve(rng, curve_cls, poly_cls, degree, scale)
+    surf = Surface(curve)
+    exact = Surface(_as_exact(curve))
+    density, extras = exact.fields["density"], exact.extras
+    for _ in range(4):
+        u, v = (Fraction(int(k), 64) for k in rng.integers(-64, 65, 2))
+        lam, grad, hess, (comps, comps_u, comps_v) = surf.chart_jet(float(u), float(v))
+        _close([lam, *grad, *hess], _exact_jet(density, u, v), "density jet")
+        for key, got, got_u, got_v in zip(("f1u", "f2u", "g1u", "g2u"), comps, comps_u, comps_v):
+            want = _exact_jet(extras[key], u, v)[:3]
+            _close([got, got_u, got_v], want, key)
+
+
 def _jet_arrays(jet):
     return (jet.value, jet.du, jet.dv, jet.duu, jet.duv, jet.dvv)
 

@@ -312,6 +312,19 @@ def test_locate_swallowtails_cubic_quartic_front_locus():
     assert abs(float(sg.area_density(CUBIC_QUARTIC, (Fraction(-2, 3), 0)))) > 0.3
 
 
+@pytest.mark.parametrize("curve, tail, want", [
+    (QUAD_CUBIC, (-2 / 3, 0.0), 15 / 4), (CUBIC_QUARTIC, (-3 / 4, 0.0), 14 / 3),
+], ids=["z2z3", "z3z4"])
+def test_swallowtail_derivative_is_the_exact_one(curve, tail, want):
+    # dD/dt of the closed form, which a stencil along the curve only approximates
+    found = sg.locate_swallowtails(curve, sg.trace_singular_curves(curve, BOX, 64))
+    assert len(found) == 1
+    q, cls = found[0]
+    assert np.hypot(q[0] - tail[0], q[1] - tail[1]) <= 1e-12
+    for ddet in (cls.evidence.ddet_ge, sg.classify_point(curve, tail).evidence.ddet_ge):
+        assert abs(abs(ddet) - want) <= 1e-12 * want
+
+
 # -- global properties -----------------------------------------------------------
 
 

@@ -1,12 +1,12 @@
-"""The classification solvers repeat no work, and their results keep their bits.
+"""The Newton projection keeps its bits, and classification runs no solver.
 
-`_newton_project_rows` iterates on the undecided rows only; a batch equals
-its one-row calls, and the parent's gather-and-scatter loop (written out
-here as `_reference_newton`), on every exit path.  `_march_windows` marches
-both halves of every window in one set of rows, three Newton calls in all,
-with the points, tangents and mask of the one-direction march written out
-here as `_reference_march`.  The swallowtail search reuses the jets of its
-projections and the projections of its `_brent` evaluations.
+`_newton_project_rows`, which snaps a CLI probe onto {lam = 0}, iterates on
+the undecided rows only; a batch equals its one-row calls, and a
+gather-and-scatter loop over the full arrays (written out here as
+`_reference_newton`), on every exit path.  Classification takes its front
+criteria and its swallowtail roots from closed-form jets: neither the Newton
+projection nor Brent's method runs in `_classify_points` or
+`_swallowtail_roots`.
 """
 
 import json
@@ -124,134 +124,22 @@ def test_newton_on_no_rows():
     assert q.shape == (0, 2) and ok.shape == (0,) and jet.shape == (3, 0)
 
 
-# -- window march ------------------------------------------------------------------
-
-
-def _reference_march(surf, p, tols, h):
-    """(points, dirs, ok) of the windows marched forward, then backward, one
-    Newton call per step and direction."""
-    tol, travel = sg._newton_tol(tols.sing), 10 * h
-    points, dirs = np.zeros((len(p), 5, 2)), np.zeros((len(p), 5, 2))
-    q0, ok, jet = sg._newton_project_rows(surf, p, tol, travel)
-    rows = np.flatnonzero(ok)
-    t0, norm = sg._level_tangent(jet[:, rows])
-    smooth = ~(norm <= tols.deg[rows])
-    rows, t0 = rows[smooth], t0[smooth]
-    points[rows, 2], dirs[rows, 2] = q0[rows], t0
-    alive = []
-    for sign, slots in ((1.0, (3, 4)), (-1.0, (1, 0))):
-        live, q, t = rows, q0[rows], sign * t0
-        for k in slots:
-            q, ok, jet = sg._newton_project_rows(surf, q + h[live, None] * t, tol[live], travel[live])
-            live, q, t = live[ok], q[ok], t[ok]
-            t_next, norm = sg._level_tangent(jet[:, ok])
-            smooth = ~(norm <= tols.deg[live])
-            live, q, t = live[smooth], q[smooth], sg._aligned(t_next[smooth], t[smooth])
-            points[live, k], dirs[live, k] = q, sign * t
-        alive.append(live)
-    ok = np.zeros(len(p), dtype=bool)
-    ok[np.intersect1d(*alive)] = True
-    return points, dirs, ok, alive
-
-
-# on (z^2, z^3), the null line u = -v marched from (x, -x) runs forward into
-# the degenerate origin, and the null line u = v from (x, x) backward into it
-_X = 0.01 / np.sqrt(2)
-HALF_FAILS = np.array([[_X, -_X], [_X, _X]])
+# -- classification without solvers ------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["z2z3", "z3z4", "d3-lsc-26"])
-def test_march_windows_two_way(name, monkeypatch):
-    curve = {"z2z3": QUAD_CUBIC, "z3z4": CUBIC_QUARTIC}.get(name) or _pool(name)
-    surf = compile_surface(curve)
-    nodes = np.concatenate([sc.points for sc in sg.trace_singular_curves(curve, Domain(), 64)])
-    p = np.concatenate([nodes, HALF_FAILS]) if name == "z2z3" else nodes
-    tols = sg._point_tols(curve, p)
-    h = 0.01 * np.maximum(1.0, np.max(np.abs(p), axis=1))
-    *want, (forward, backward) = _reference_march(surf, p, tols, h)
-    if name == "z2z3":
-        half = len(nodes) + np.arange(2)
-        assert np.isin(half, backward).tolist() == [True, False]
-        assert np.isin(half, forward).tolist() == [False, True]
-    assert want[2].any()
-
-    calls = []
-    original = sg._newton_project_rows
-
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(sg, "_newton_project_rows", counted)
-    got = sg._march_windows(surf, p, tols, h)
-    assert len(calls) == 3
-    _assert_same_bits(got, want)
-
-
-# -- swallowtail search ------------------------------------------------------------
-
-
-def test_project_or_keep_returns_the_jet_at_its_rows():
-    surf = compile_surface(CIRCLE)
-    q = np.array([[0.6, 0.1], [0.0, 0.0], [0.3, 0.45]])  # the origin has no projection
-    rows, jet = sg._project_or_keep(surf, CIRCLE, q)
-    np.testing.assert_array_equal(_bits(rows[1]), _bits(q[1]))
-    np.testing.assert_allclose(np.hypot(*rows[[0, 2]].T), 0.5, rtol=1e-12)  # on |z| = 1/2
-    _assert_same_bits(jet, surf.density_jet(rows[:, 0], rows[:, 1]))
-
-
-@pytest.mark.parametrize("name", ["z2z3", "z3z4", "d3-lsc-26"])
-def test_swallowtail_search_makes_no_repeat_calls(name, monkeypatch):
+def test_classification_reaches_no_solver(name, monkeypatch):
     curve = {"z2z3": QUAD_CUBIC, "z3z4": CUBIC_QUARTIC}.get(name) or _pool(name)
     surf = compile_surface(curve)
     traced = sg.trace_singular_curves(curve, Domain(), 64)
-    want = sg._swallowtail_roots(surf, curve, traced)
-    assert len(want)
+    nodes = np.concatenate([sc.points for sc in traced])
 
-    events = []  # "jet", "newton", "brent returned"
-    newtons = []  # (density_jet calls inside one Newton call, its reference count, ok)
-    plain_jet = type(surf).density_jet
-    newton, brent, project = sg._newton_project_rows, sg._brent, sg._project_or_keep
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran during classification")
 
-    def density_jet(u, v):
-        return plain_jet(surf, u, v)
-
-    def counted_jet(self, u, v):
-        events.append("jet")
-        return plain_jet(self, u, v)
-
-    def counted_newton(surf_, q, tol, max_travel):
-        events.append("newton")
-        before = events.count("jet")
-        out = newton(surf_, q, tol, max_travel)
-        reference = _reference_newton(density_jet, q, tol, max_travel)[3]
-        newtons.append((events.count("jet") - before, reference, out[1]))
-        return out
-
-    def counted_brent(*args, **kwargs):
-        out = brent(*args, **kwargs)
-        events.append("brent returned")
-        return out
-
-    callbacks = []  # (density_jet calls outside Newton, rows kept in place) of each projection
-
-    def counted_project(surf_, curve_, q):
-        before = events.count("jet")
-        out = project(surf_, curve_, q)
-        inside, _, ok = newtons[-1]
-        callbacks.append((events.count("jet") - before - inside, int(np.sum(~ok))))
-        return out
-
-    monkeypatch.setattr(type(surf), "density_jet", counted_jet)
-    monkeypatch.setattr(sg, "_newton_project_rows", counted_newton)
-    monkeypatch.setattr(sg, "_brent", counted_brent)
-    monkeypatch.setattr(sg, "_project_or_keep", counted_project)
-    got = sg._swallowtail_roots(surf, curve, traced)
-
-    np.testing.assert_array_equal(_bits(got), _bits(want))
-    assert events.count("brent returned") == 1
-    assert events[-1] == "brent returned"  # no Newton and no jet after the root search
-    assert all(n == ref for n, ref, _ in newtons)  # one jet call per Newton iteration
-    assert len(callbacks) == len(newtons) >= 2
-    # one more jet call, on the kept rows, only when some row is kept
-    assert all(outside == (kept > 0) for outside, kept in callbacks)
+    monkeypatch.setattr(sg, "_newton_project_rows", never)
+    monkeypatch.setattr(sg, "_brent", never)
+    classes = sg._classify_points(curve, nodes)
+    roots = sg._swallowtail_roots(surf, traced)
+    assert all(cls.tag is not None for cls in classes)
+    assert len(roots) and {cls.tag for cls in sg._classify_points(curve, roots)} >= {sg.TAG_SWALLOWTAIL}
