@@ -196,7 +196,14 @@ def cmd_classify(args) -> int:
 
 
 def _snap_probe(curve, domain, res, p):
-    """Pull a probe onto the singular set when it is within half a grid cell."""
+    """Pull a probe onto the singular set when it is within half a grid cell.
+
+    Nearest-point Newton steps on lam from p: they stop once |lam| <= tol
+    (the singular tolerance of the domain), give up where the gradient
+    vanishes or an iterate is more than half a cell from p, and after 60
+    steps keep the iterate only if |lam| <= 100 tol.  A probe that gives up
+    is returned as given.
+    """
     surf = compile_surface(curve)
     cell = 0.5 * float(
         np.hypot(
@@ -204,14 +211,22 @@ def _snap_probe(curve, domain, res, p):
             (domain.v1 - domain.v0) / max(res - 1, 1),
         )
     )
-    tols = singularities.tolerances_for(curve, domain.radius)
-    if abs(surf.area_density(*p)) <= tols.sing:
+    tol = singularities.tolerances_for(curve, domain.radius).sing
+    if abs(surf.area_density(*p)) <= tol:
         return p
-    (q,), (ok,), _ = singularities._newton_project_rows(
-        surf, np.array([p], dtype=float), np.array([tols.sing]), np.array([cell])
-    )
-    if ok and np.hypot(q[0] - p[0], q[1] - p[1]) <= cell:
-        return float(q[0]), float(q[1])
+    u, v = float(p[0]), float(p[1])
+    for _ in range(60):
+        lam, gu, gv = surf.density_jet(u, v)
+        g2 = gu * gu + gv * gv
+        if abs(lam) <= tol or g2 == 0.0:
+            break
+        u, v = u - lam * gu / g2, v - lam * gv / g2
+        if np.hypot(u - p[0], v - p[1]) > cell:
+            return p
+    else:
+        lam, tol = surf.density_jet(u, v)[0], 100 * tol
+    if abs(lam) <= tol and np.hypot(u - p[0], v - p[1]) <= cell:
+        return float(u), float(v)
     return p
 
 

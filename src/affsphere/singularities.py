@@ -15,15 +15,17 @@ classification is a function of the jets at the point, with no solver.
 `_classify_points` takes each stage once, on all rows that reach it: lift
 ranks from |dnu(eta)| against |dnu|; the branch, frontal-not-front and
 degenerate masks; D and dD/dt in closed form from one kernel pass over the
-first three derivatives of F and G (`_front_jet`); and the psi test of
-Fujimori, Saji, Umehara and Yamada on a five-point window along each exact
-null line.  A report makes one such call, on its nodes, swallowtail roots
-and probes together, so it costs a fixed number of kernel calls, not a
-number per traced node.  Swallowtails are common zeros of lam and
-Lambda = grad lam . c, c the chosen rotated row of the chart matrix: one
-batched 2x2 Newton (`_swallowtail_newton`) from the midpoints of the
-brackets where D changes sign between traced nodes.  `classify_point`,
-`ccr_psi`, `lift_rank` and `null_vector` are one-row calls.
+first three derivatives of F and G (`_front_jet`); and the Psi test of
+Fujimori, Saji, Umehara and Yamada, Psi(0) and Psi'(0) along each exact
+null line in closed form from the second-order jets of the position and
+the unit normal (`_psi`) that the lift ranks already take.  A report makes
+one such call, on its nodes, swallowtail roots and probes together, so it
+costs a fixed number of kernel calls, not a number per traced node.
+Swallowtails are common zeros of lam and Lambda = grad lam . c, c the
+chosen rotated row of the chart matrix: one batched 2x2 Newton
+(`_swallowtail_newton`) from the midpoints of the brackets where D changes
+sign between traced nodes.  `classify_point`, `ccr_psi`, `lift_rank` and
+`null_vector` are one-row calls.
 
 Each primitive has one implementation that every stage shares, acting on
 the last axis of arrays (one point is a (2,) row) with the same IEEE
@@ -33,9 +35,7 @@ null direction of the chart matrix (`_null_candidates`, `_null_direction`),
 the front jets (`_front_jet`), and Brent's method (`_brent`).  `_brent`
 solves a batch of brackets in lockstep, one call of f per iteration for the
 lanes still open, and each lane returns the float scipy's brentq returns on
-its bracket: the trace solves all crossed grid edges in one call.  The
-Newton projection onto {lam = 0} (`_newton_project_rows`) snaps the CLI's
-probes.
+its bracket: the trace solves all crossed grid edges in one call.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .paracomplex import para_to_dalembert
-from .surfaces import Domain, _conormal_jet, _dot, _position_jet, _unit_normal_jet, compile_surface
+from .surfaces import Domain, Jet2, _conormal_jet, _dot, _position_jet, _unit_normal_jet, compile_surface
 
 TAG_REGULAR = "Regular"
 TAG_BRANCH = "BranchPoint"
@@ -72,8 +72,8 @@ class BranchPointError(ValueError):
 
 class TraceRequired(RuntimeError):
     """The point is on no singular curve the test runs along: a front point off
-    the given traced polylines (classify_point), or a point off every exact
-    frontal-not-front null line or whose window there has no null field (ccr_psi)."""
+    the given traced polylines (classify_point), or a point on no exact
+    frontal-not-front null line, or without a null direction there (ccr_psi)."""
 
 
 @dataclass(frozen=True)
@@ -121,8 +121,8 @@ def grad_density(curve, p):
 # -- row helpers ---------------------------------------------------------------
 #
 # Vectors are the last axis of an array: one point is a (2,) row, n points an
-# (n, 2) array, n five-point windows an (n, 5, 2) array.  Every helper runs the
-# same IEEE operations on each row as on a single point.
+# (n, 2) array.  Every helper runs the same IEEE operations on each row as on a
+# single point.
 
 
 def _rows(pts):
@@ -146,55 +146,6 @@ def _aligned(vec, ref):
     if ref is None:
         return vec
     return np.where((_dot(vec, ref) < 0)[..., None], -vec, vec)
-
-
-def _newton_project_rows(surf, q, tol, max_travel):
-    """Nearest-point Newton iteration onto {lam = 0} from every row of q, with
-    per-row tol and max_travel.
-
-    Returns (projected rows, ok, jet).  A row is ok once |lam| <= tol, or
-    after 60 steps when |lam| <= 100 tol; it fails where the gradient
-    vanishes or the iterate moves farther than max_travel from its start.
-    jet: (lam, lam_u, lam_v) at each ok row's projection, as density_jet
-    gave them there (other rows: meaningless).  A failed row returns the
-    iterate it stopped at.  A row freezes as soon as it is decided, so each
-    row equals its one-row result bit for bit.
-
-    The iteration runs on working arrays of the undecided rows only (their
-    index, iterate, start, tol and max_travel), compacted on the steps where
-    some row leaves; a leaving row's iterate is written back to q then.
-    """
-    q = q.copy()
-    ok = np.zeros(len(q), dtype=bool)
-    jet = np.zeros((3, len(q)))
-    rows = np.arange(len(q))
-    u, v = np.array(q.T)
-    u0, v0 = u, v
-    for _ in range(60):
-        if not rows.size:
-            return q, ok, jet
-        val, gu, gv = surf.density_jet(u, v)
-        done = np.abs(val) <= tol
-        g2 = gu * gu + gv * gv
-        moving = ~done & (g2 != 0.0)
-        if not moving.all():
-            ok[rows[done]] = True
-            jet[:, rows[done]] = val[done], gu[done], gv[done]
-            q[rows[~moving], 0], q[rows[~moving], 1] = u[~moving], v[~moving]
-            rows, u, v, u0, v0, tol, max_travel, val, gu, gv, g2 = (
-                x[moving] for x in (rows, u, v, u0, v0, tol, max_travel, val, gu, gv, g2))
-        u = u - val * gu / g2
-        v = v - val * gv / g2
-        near = ~(np.hypot(u - u0, v - v0) > max_travel)
-        if not near.all():
-            q[rows[~near], 0], q[rows[~near], 1] = u[~near], v[~near]
-            rows, u, v, u0, v0, tol, max_travel = (
-                x[near] for x in (rows, u, v, u0, v0, tol, max_travel))
-    if rows.size:
-        q[rows, 0], q[rows, 1] = u, v
-        jet[:, rows] = surf.density_jet(u, v)
-        ok[rows] = np.abs(jet[0, rows]) <= 100 * tol
-    return q, ok, jet
 
 
 # -- null directions --------------------------------------------------------
@@ -246,18 +197,18 @@ def null_vector(curve, p):
 
 
 def _lift_frames(surf, u, v):
-    """(x_u, x_v, nu, nu_u, nu_v) at the points (u, v), each an (n, 3) array.
+    """(x, nu): the second-order jets of the position and of the unit normal at
+    the points (u, v), Jet2s of (n, 3) rows.
 
-    The first partials of the position and of the unit normal, from one
-    field_jets call and the row forms of the surface's jets, so each row
-    equals Surface.position_jet and Surface.normal_jet at that point bit for bit.
+    From one field_jets call and the row forms of the surface's jets, so each
+    row equals Surface.position_jet and Surface.normal_jet at that point bit
+    for bit.
     """
     j = surf.field_jets(u, v)
-    x, nu = _position_jet(j), _unit_normal_jet(_conormal_jet(j))
-    return x.du, x.dv, nu.value, nu.du, nu.dv
+    return _position_jet(j), _unit_normal_jet(_conormal_jet(j))
 
 
-def _lift_ranks(frames, eta):
+def _lift_ranks(x, nu, eta):
     """Ranks of the lift (position, unit normal) at rows with null direction eta.
 
     At a singular point with null direction eta the lift is an immersion
@@ -265,9 +216,9 @@ def _lift_ranks(frames, eta):
     (Frobenius norm), 0 where dx and dnu are both zero, and 1 otherwise: a
     test homogeneous in the scale of F and G.
     """
-    x_u, x_v, _, n_u, n_v = frames
+    n_u, n_v = nu.du, nu.dv
     n_eta = eta[:, 0:1] * n_u + eta[:, 1:2] * n_v
-    flat = ~np.any(np.concatenate([x_u, x_v, n_u, n_v], axis=-1) != 0.0, axis=-1)
+    flat = ~np.any(np.concatenate([x.du, x.dv, n_u, n_v], axis=-1) != 0.0, axis=-1)
     immersed = np.sqrt(_dot(n_eta, n_eta)) > 1e-9 * np.sqrt(_dot(n_u, n_u) + _dot(n_v, n_v))
     return np.where(immersed, 2, np.where(flat, 0, 1))
 
@@ -277,21 +228,23 @@ def lift_rank(curve, p) -> int:
     surf = compile_surface(curve)
     u, v = _rows([p]).T
     eta, _ = _null_direction(_chart_matrix(surf, u, v))
-    return int(_lift_ranks(_lift_frames(surf, u, v), eta)[0])
+    return int(_lift_ranks(*_lift_frames(surf, u, v), eta)[0])
 
 
 # -- frontal-not-front conditions --------------------------------------------
 
 
-def _fnf_kind(surf, u, v, tols):
+def _fnf_kind(surf, comps, tols):
     """'difference' if f1_u=f2_u, g1_u=g2_u; 'sum' if the mirrored signs hold.
 
-    The names record which combination u-v or u+v is constant along the null
-    line the condition defines.  Convex-signature surfaces are always fronts,
-    so the answer there is None.  For arrays of points (and tolerances), an
-    object array of these answers, one per point.
+    comps: the chart components (f1u, f2u, g1u, g2u) of
+    `Surface.chart_derivatives` at a point or at arrays of points.  The names
+    record which combination u-v or u+v is constant along the null line the
+    condition defines.  Convex-signature surfaces are always fronts, so the
+    answer there is None.  For arrays of points (and tolerances), an object
+    array of these answers, one per point.
     """
-    f1u, f2u, g1u, g2u = surf.chart_derivatives(u, v)
+    f1u, f2u, g1u, g2u = comps
     diff = (np.abs(f1u - f2u) <= tols.branch) & (np.abs(g1u - g2u) <= tols.branch)
     summ = (np.abs(f1u + f2u) <= tols.branch) & (np.abs(g1u + g2u) <= tols.branch)
     if surf.signature != "indefinite":
@@ -690,7 +643,8 @@ class Evidence:
     det_ge and ddet_ge are D = det(gamma', eta) and dD/dt of the front
     criteria, closed forms in the jets of F and G at the point (`_front_jet`);
     psi0 and dpsi0 are Psi(0) and Psi'(0) of the cuspidal-cross-cap test on an
-    exact null line (`ccr_psi`).
+    exact null line, closed forms in the jets of the position and the unit
+    normal at the point (`_psi`).
     """
 
     density: float
@@ -722,7 +676,10 @@ def _classify_points(curve, pts) -> list:
     conditions; degenerate gradient; then the front criteria, D =
     det(gamma', eta) and dD/dt from the jets at the point (`_front_jet`).
     Each stage runs once, on the array of rows that reach it, and every row
-    gets a tag.
+    gets a tag.  The singular rows take one chart_derivatives and one
+    field_jets pass, which give the lift ranks, the branch and
+    frontal-not-front masks and Psi; a frontal-not-front row gets Psi where
+    its null direction is longer than its branch tolerance.
     """
     p = _rows(pts)
     if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
@@ -739,17 +696,20 @@ def _classify_points(curve, pts) -> list:
 
     rows = np.flatnonzero(~(np.abs(lam) > tols.sing))
     comps = surf.chart_derivatives(u[rows], v[rows])
-    eta, _ = _null_direction(_chart(*comps, surf.unit_sq))
-    rank[rows] = _lift_ranks(_lift_frames(surf, u[rows], v[rows]), eta).tolist()
+    eta, eta_norm = _null_direction(_chart(*comps, surf.unit_sq))
+    x, nu = _lift_frames(surf, u[rows], v[rows])
+    rank[rows] = _lift_ranks(x, nu, eta).tolist()
     branch = np.max(np.abs(comps), axis=0) <= tols.branch[rows]
+    kinds = _fnf_kind(surf, comps, tols.rows(rows))
+    fnf = np.array([k is not None for k in kinds], dtype=bool) & ~branch
     tags[rows[branch]] = TAG_BRANCH
-    rows = rows[~branch]
+    tags[rows[fnf]] = TAG_FRONTAL_NOT_FRONT
+    line = fnf & ~(eta_norm <= tols.branch[rows])
+    if line.any():  # most curves have no frontal-not-front rows
+        a, b = _psi(x.rows(line), nu.rows(line), _line_directions(kinds[line]), eta[line])
+        psi0[rows[line]], dpsi0[rows[line]] = a.tolist(), b.tolist()
 
-    fnf, a, b, ok, _ = _fnf_psi(surf, p, tols, rows)
-    line = rows[fnf]
-    tags[line] = TAG_FRONTAL_NOT_FRONT
-    psi0[line[ok]], dpsi0[line[ok]] = a[ok].tolist(), b[ok].tolist()
-    rows = rows[~fnf]
+    rows = rows[~branch & ~fnf]
     tags[rows[degenerate[rows]]] = TAG_DEGENERATE_OTHER
     rows = rows[~degenerate[rows]]
 
@@ -800,149 +760,105 @@ def classify_point(curve, p, traced=None) -> SingularClass:
 
 # -- cuspidal cross cap obstruction ---------------------------------------------
 
-# offsets, in units of the spacing _PSI_H, of the five-point stencil along a null line
-_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-_PSI_H = 0.01
+
+def _line_directions(kinds):
+    """(n, 2) unit directions of the null lines of the kinds "sum" or "difference"."""
+    return np.array([_NULL_LINE_DIRECTION[k] for k in kinds]).reshape(-1, 2)
 
 
-def _stencil_derivative(values, h):
-    """Derivative at the middle of five samples values[0..4] with spacing h."""
-    return (-values[4] + 8 * values[3] - 8 * values[1] + values[0]) / (12 * h)
+def _psi(x, nu, d, eta):
+    """(Psi(0), Psi'(0)) at rows on exact null lines, from the second-order jets
+    x and nu (Jet2s of (n, 3) rows) of the position and the unit normal.
 
-
-def _null_fields(surf, points, branch):
-    """Unit null vectors along windows of points (n, 5, 2), and a mask of rows where they exist.
-
-    One rotated-row candidate serves a whole window: the one whose smallest
-    length over it is larger, the first on a tie.  A row fails when that
-    length is within its branch tolerance.  Signs follow the first point.
+    Psi(t) = det(x_d, nu_eta, nu) along the line p + t d, d the line's unit
+    direction and eta the null direction, (n, 2) rows each.  On an exact
+    frontal-not-front null line both rows of the chart matrix are parallel to
+    the line's normal, so eta is constant along it and Psi'(0) =
+    det(x_dd, nu_eta, nu) + det(x_d, nu_etad, nu) + det(x_d, nu_eta, nu_d).
     """
-    c1, c2 = _null_candidates(_chart_matrix(surf, points[..., 0], points[..., 1]))
-    n1, n2 = np.hypot(c1[..., 0], c1[..., 1]), np.hypot(c2[..., 0], c2[..., 1])
-    second = n2.min(axis=1) > n1.min(axis=1)
-    ok = ~(np.where(second, n2.min(axis=1), n1.min(axis=1)) <= branch)
-    etas = _unit(np.where(second[:, None, None], c2, c1))[0]
-    for k in range(1, 5):
-        etas[:, k] = _aligned(etas[:, k], etas[:, k - 1])
-    return etas, ok
+    (du, dv), (eu, ev) = (w.T[..., None] for w in (d, eta))
+    x_d = du * x.du + dv * x.dv
+    x_dd = du * du * x.duu + 2 * du * dv * x.duv + dv * dv * x.dvv
+    nu_d = du * nu.du + dv * nu.dv
+    nu_eta = eu * nu.du + ev * nu.dv
+    nu_etad = eu * du * nu.duu + (eu * dv + ev * du) * nu.duv + ev * dv * nu.dvv
+    frames = [(x_d, nu_eta, nu.value), (x_dd, nu_eta, nu.value),
+              (x_d, nu_etad, nu.value), (x_d, nu_eta, nu_d)]
+    psi0, *terms = np.linalg.det(np.stack([np.stack(f, axis=-2) for f in frames]))
+    return psi0, terms[0] + terms[1] + terms[2]
 
 
-def _psi_values(frames, dirs, etas):
-    """det(dpsi(gamma'), D_eta nu, nu) at window points.
+def _fnf_psi(surf, p, tols):
+    """(rows, Psi(0), Psi'(0), x, nu) at the rows of p where Psi is defined.
 
-    frames: the (x_u, x_v, nu, nu_u, nu_v) rows of `_lift_frames` at the
-    points; dirs and etas: the curve tangents and null vectors there.
+    rows: the indices of the rows that are singular, meet a frontal-not-front
+    condition (`_fnf_kind`) and have a null direction longer than their branch
+    tolerance; x and nu: the `_lift_frames` jets there.  One pass each of
+    density_jet, chart_derivatives and field_jets.
     """
-    x_u, x_v, nu, nu_u, nu_v = frames
-    gamma_dot = dirs[..., 0:1] * x_u + dirs[..., 1:2] * x_v
-    d_eta_nu = etas[..., 0:1] * nu_u + etas[..., 1:2] * nu_v
-    return np.linalg.det(np.stack([gamma_dot, d_eta_nu, nu], axis=-2))
-
-
-def _psi_windows(surf, p, branch, kinds):
-    """(Psi(0), Psi'(0), ok, centre frames) at the rows of p; see `ccr_psi`.
-
-    kinds: the frontal-not-front kind ("sum" or "difference") of each row;
-    its five-point window, spacing _PSI_H, lies on that exact null line
-    through the row.  ok marks the rows whose null field exists along the
-    window (`_null_fields`, branch: the rows' tolerances); the values of the
-    others are meaningless.  The centre frames are the `_lift_frames` of the
-    ok rows at their window's centre.
-    """
-    if not len(p):  # most curves have no frontal-not-front rows
-        return np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool), [np.zeros((0, 3))] * 5
-    direction = np.array([_NULL_LINE_DIRECTION[k] for k in kinds]).reshape(-1, 1, 2)
-    points = p[:, None, :] + (_PSI_H * _STENCIL)[:, None] * direction
-    etas, ok = _null_fields(surf, points, branch)
-    rows = np.flatnonzero(ok)
-    flat = points[rows].reshape(-1, 2)
-    frames = [f.reshape(len(rows), 5, 3) for f in _lift_frames(surf, flat[:, 0], flat[:, 1])]
-    psis = np.zeros((len(p), 5))
-    psis[rows] = _psi_values(frames, direction[rows], etas[rows])
-    return psis[:, 2], _stencil_derivative(psis.T, _PSI_H), ok, [f[:, 2] for f in frames]
-
-
-def _fnf_psi(surf, p, tols, rows):
-    """(fnf, Psi(0), Psi'(0), ok, centre frames): the mask of the
-    frontal-not-front rows among the singular rows of p, and `_psi_windows`
-    along their null lines."""
-    kinds = _fnf_kind(surf, p[rows, 0], p[rows, 1], tols.rows(rows))
-    fnf = np.array([k is not None for k in kinds], dtype=bool)
-    return (fnf, *_psi_windows(surf, p[rows[fnf]], tols.branch[rows[fnf]], kinds[fnf]))
+    u, v = p[:, 0], p[:, 1]
+    lam, _, _ = surf.density_jet(u, v)
+    rows = np.flatnonzero(~(np.abs(lam) > tols.sing))
+    comps = surf.chart_derivatives(u[rows], v[rows])
+    kinds = _fnf_kind(surf, comps, tols.rows(rows))
+    eta, eta_norm = _null_direction(_chart(*comps, surf.unit_sq))
+    line = np.array([k is not None for k in kinds], dtype=bool) & ~(eta_norm <= tols.branch[rows])
+    rows = rows[line]
+    x, nu = _lift_frames(surf, u[rows], v[rows])
+    return (rows, *_psi(x, nu, _line_directions(kinds[line]), eta[line]), x, nu)
 
 
 def ccr_psi(curve, p):
     """(Psi(0), Psi'(0)) for the cuspidal-cross-cap test at p on an exact null line.
 
     Psi(t) = det(dpsi(gamma'), D_eta nu, nu) along the frontal-not-front null
-    line through p; the derivative comes from a 5-point stencil with spacing
-    _PSI_H along the line.  Raises NotSingular off the singular set, and
-    TraceRequired where p is on no such line or the null field vanishes on
-    the window.
+    line through p, and its derivative, in closed form from the jets at p
+    (`_psi`).  Raises NotSingular off the singular set, and TraceRequired
+    where p is on no such line or has no null direction there.
     """
     surf = compile_surface(curve)
     q = _rows([p])
     tols = _point_tols(curve, q)
-    lam, _, _ = surf.density_jet(q[:, 0], q[:, 1])
-    if np.abs(lam[0]) > tols.sing[0]:
+    rows, psi0, dpsi0, _, _ = _fnf_psi(surf, q, tols)
+    if rows.size:
+        return float(psi0[0]), float(dpsi0[0])
+    if np.abs(surf.density_jet(q[:, 0], q[:, 1])[0][0]) > tols.sing[0]:
         raise NotSingular(f"({q[0, 0]}, {q[0, 1]}) is not singular")
-    kinds = _fnf_kind(surf, q[:, 0], q[:, 1], tols)
-    if kinds[0] is None:
-        raise TraceRequired(f"{tuple(p)} is on no frontal-not-front null line")
-    psi0, dpsi0, ok, _ = _psi_windows(surf, q, tols.branch, kinds)
-    if not ok[0]:
-        raise TraceRequired(f"the null field vanishes on the null line window at {tuple(p)}")
-    return float(psi0[0]), float(dpsi0[0])
+    raise TraceRequired(f"{tuple(p)} is on no frontal-not-front null line, or has no null direction there")
+
+
 @functools.cache
 def ccr_psi_control():
-    """Same test on the frontal (u, v^2, u v^3), which has nonzero Psi'(0).
+    """Same test on the frontal (u, v^2, u v^3), whose Psi'(0) is -3/2.
 
-    A hand-built normal frame stands in for the surface jets; this is the
-    non-vacuity control for the obstruction test.  A constant, computed once.
+    The non-vacuity control for the obstruction test: `_psi` on hand-written
+    jets at 0 of the position and of the unit normal (-2v^3, -3uv, 2)/|.|,
+    which is (-v^3, -3uv/2, 1) to second order, along the singular line
+    v = 0 with null direction (0, 1).  A constant, computed once.
     """
-
-    def normal(u, v):
-        n = np.array([-2 * v**3, -3 * u * v, 2.0])
-        return n / np.linalg.norm(n)
-
-    def frame(u, v, fd=1e-6):
-        """(x_u, x_v, nu, nu_u, nu_v) at (u, v), the normal's partials by central differences."""
-        return (
-            np.array([1.0, 0.0, v**3]),
-            np.array([0.0, 2 * v, 3 * u * v**2]),
-            normal(u, v),
-            (normal(u + fd, v) - normal(u - fd, v)) / (2 * fd),
-            (normal(u, v + fd) - normal(u, v - fd)) / (2 * fd),
-        )
-
-    points = np.column_stack([_PSI_H * _STENCIL, np.zeros(5)])
-    frames = [np.array(rows) for rows in zip(*(frame(u, v) for u, v in points))]
-    directions = np.tile([1.0, 0.0], (5, 1))
-    etas = np.tile([0.0, 1.0], (5, 1))
-    psis = _psi_values(frames, directions, etas)
-    return float(psis[2]), float(_stencil_derivative(psis, _PSI_H))
+    zero = np.zeros((1, 3))
+    x = Jet2(zero, np.array([[1.0, 0.0, 0.0]]), zero, zero, zero, np.array([[0.0, 2.0, 0.0]]))
+    nu = Jet2(np.array([[0.0, 0.0, 1.0]]), zero, zero, zero, np.array([[0.0, -1.5, 0.0]]), zero)
+    psi0, dpsi0 = _psi(x, nu, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
+    return float(psi0[0]), float(dpsi0[0])
 
 
 def _null_line_psi(curve, domain):
-    """(Psi'(0), scale) at the frontal-not-front samples of the exact null
-    lines whose window exists: the points and the Jacobian scale of the ccr
-    suite.  Every line gets 48 evenly spaced points, of which every ninth
-    from the ninth on is a sample.  scale is max(1, |d x| |d nu|), with the
-    Frobenius norms of the 3x2 Jacobians of position and unit normal taken
-    from the frames the windows computed at their centres.
+    """(Psi'(0), scale) at the samples of the exact null lines where Psi is
+    defined (`_fnf_psi`): the points and the Jacobian scale of the ccr suite.
+    Every line gets 48 evenly spaced points, of which every ninth from the
+    ninth on is a sample.  scale is max(1, |d x| |d nu|), with the Frobenius
+    norms of the 3x2 Jacobians of position and unit normal at the sample.
     """
     surf = compile_surface(curve)
     lines = [] if surf.density_is_zero else _null_lines(curve, domain, 48)
     if not lines:
         return np.zeros(0), np.zeros(0)
     p = np.concatenate([pts[9::9] for _, pts in lines])
-    tols = _point_tols(curve, p)
-    lam, _, _ = surf.density_jet(p[:, 0], p[:, 1])
-    singular = np.flatnonzero(~(np.abs(lam) > tols.sing))
-    _, _, dpsi0, ok, (x_u, x_v, _, n_u, n_v) = _fnf_psi(surf, p, tols, singular)
+    _, _, dpsi0, x, nu = _fnf_psi(surf, p, _point_tols(curve, p))
     # Frobenius norms, summed in np.linalg.norm's order
-    jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x_u, x_v), (n_u, n_v)))
-    return dpsi0[ok], np.maximum(1.0, np.sqrt(_dot(jac_x, jac_x)) * np.sqrt(_dot(jac_n, jac_n)))
+    jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x.du, x.dv), (nu.du, nu.dv)))
+    return dpsi0, np.maximum(1.0, np.sqrt(_dot(jac_x, jac_x)) * np.sqrt(_dot(jac_n, jac_n)))
 
 
 # -- swallowtail search ----------------------------------------------------------

@@ -163,6 +163,10 @@ class Jet2:
     duv: np.ndarray
     dvv: np.ndarray
 
+    def rows(self, idx):
+        """Jet of the selected rows, when the vectors are (n, 3) arrays over rows."""
+        return Jet2(self.value[idx], self.du[idx], self.dv[idx], self.duu[idx], self.duv[idx], self.dvv[idx])
+
 
 class FieldJets(NamedTuple):
     """(value, du, dv, duu, duv, dvv) of each scalar field: floats, or arrays over points."""

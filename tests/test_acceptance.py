@@ -205,7 +205,8 @@ def test_criterion_05_corank_one_point_cubic_quartic():
         (float(e["g1u"](1.0, 1.0)) == 16.0, "g1_u != 16"),
         (float(e["g2u"](1.0, 1.0)) == 16.0, "g2_u != 16"),
         (
-            _fnf_kind(surf, 1.0, 1.0, tolerances_for(CUBIC_QUARTIC, 1.5)) == "difference",
+            _fnf_kind(surf, surf.chart_derivatives(1.0, 1.0), tolerances_for(CUBIC_QUARTIC, 1.5))
+            == "difference",
             "first frontal condition does not hold",
         ),
         (lift_rank(CUBIC_QUARTIC, (1.0, 1.0)) == 1, "lift rank != 1"),
@@ -256,7 +257,7 @@ def test_criterion_06_no_cuspidal_cross_caps():
             for q in sc.points[step::step]:
                 tols = tolerances_for(curve, max(1.0, abs(q[0]), abs(q[1])))
                 surf = compile_surface(curve)
-                if _fnf_kind(surf, q[0], q[1], tols) is None:
+                if _fnf_kind(surf, surf.chart_derivatives(q[0], q[1]), tols) is None:
                     continue
                 if any(
                     np.min(np.hypot(o.points[:, 0] - q[0], o.points[:, 1] - q[1])) < 0.05

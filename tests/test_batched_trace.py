@@ -68,7 +68,6 @@ def test_empty_singular_set_reaches_no_solver(monkeypatch):
         raise AssertionError("solver called on an empty singular set")
 
     monkeypatch.setattr(sg, "_brent", never)
-    monkeypatch.setattr(sg, "_newton_project_rows", never)
     monkeypatch.setattr(sg, "_swallowtail_newton", never)
     report = sg.classification_report(regular, BOX, grid_res=64)
     assert report["singular_curves"] == [] and report["points"] == []

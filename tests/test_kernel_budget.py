@@ -4,25 +4,28 @@ The trace evaluates the density once for the nodes of all its lines and
 runs, and the swallowtail search takes its bracket references from the
 node pass instead of evaluating the kernel again at those nodes.  A change
 that brings back a per-piece density call or the second node pass exceeds
-the budget.
+the budget.  Classification takes the chart components and the jets of
+position and normal once, for the lift ranks, the frontal-not-front test
+and Psi alike.
 """
 
+import numpy as np
 import pytest
 
 from affsphere import surfaces
 from affsphere import singularities as sg
 from affsphere.paracomplex import ParaPoly
-from affsphere.surfaces import Domain, ParaCurve
+from affsphere.surfaces import Domain, ParaCurve, Surface
 
 CURVES = {
     "z2z3": ParaCurve(ParaPoly.monomial(2), ParaPoly.monomial(3)),
     "z3z4": ParaCurve(ParaPoly.monomial(3), ParaPoly.monomial(4)),
 }
 # Horner passes of one cold classification_report at res 64 on Domain(), the
-# three of Surface._build included, as measured with one density pass per
-# trace; a density pass per null line and traced run, and a second kernel
-# pass at the swallowtail bracket nodes, made 57 and 63.
-HORNER_BUDGET = {"z2z3": 52, "z3z4": 58}
+# three of Surface._build included, as measured with one chart_derivatives and
+# one field_jets pass in classification; a second field_jets pass and two more
+# chart_derivatives passes for Psi made 30 on both curves.
+HORNER_BUDGET = {"z2z3": 27, "z3z4": 27}
 
 
 @pytest.mark.parametrize("name", sorted(HORNER_BUDGET))
@@ -38,3 +41,20 @@ def test_horner_pass_budget(name, monkeypatch):
     monkeypatch.setattr(surfaces, "_horner", counted)
     sg.classification_report(CURVES[name], Domain(), grid_res=64)
     assert len(calls) <= HORNER_BUDGET[name]
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_classification_takes_each_jet_once(name, monkeypatch):
+    curve = CURVES[name]
+    traced = sg.trace_singular_curves(curve, Domain(), 64)
+    nodes = np.concatenate([sc.points for sc in traced])
+    calls = {}
+    for method in ("field_jets", "chart_derivatives"):
+        def counted(self, u, v, _method=method, _original=getattr(Surface, method)):
+            calls[_method] = calls.get(_method, 0) + 1
+            return _original(self, u, v)
+
+        monkeypatch.setattr(Surface, method, counted)
+    classes = sg._classify_points(curve, nodes)
+    assert sg.TAG_FRONTAL_NOT_FRONT in {cls.tag for cls in classes}
+    assert calls == {"field_jets": 1, "chart_derivatives": 1}

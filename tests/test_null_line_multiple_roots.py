@@ -6,7 +6,8 @@ u + v = c and u - v = c, and the same tags.  In null coordinates its density
 carries the factor (a - c)^(m-1) (b - c)^(m-1), so the line constants are
 (m-1)-fold roots, which the companion matrix splits into clusters.  For
 exact coefficients gcd(P, P') decides that a root repeats, not the spread
-of its cluster.
+of its cluster.  On those lines the cuspidal-cross-cap obstruction Psi'(0)
+vanishes, as on the untranslated pair.
 """
 
 from collections import Counter
@@ -15,6 +16,7 @@ from math import comb
 
 import pytest
 
+from affsphere import residuals
 from affsphere.paracomplex import ParaPoly, Poly1
 from affsphere.singularities import classification_report, trace_singular_curves
 from affsphere.surfaces import Domain, ParaCurve
@@ -58,6 +60,16 @@ def test_high_multiplicity_null_lines_are_found_once_and_exactly(m, c):
     lines = [sc.line for sc in trace_singular_curves(curve, domain, 64) if sc.kind == "null-line"]
     assert sorted(kind for kind, _ in lines) == ["difference", "sum"]
     assert all(abs(value - c) <= 1e-12 for _, value in lines)
+
+
+@pytest.mark.parametrize("c", [Fraction(1, 3), Fraction(1, 7), Fraction(-2, 5)], ids=str)
+@pytest.mark.parametrize("m", range(3, 13))
+def test_translated_pairs_have_no_cuspidal_cross_caps(m, c):
+    # the ccr suite reads |Psi'(0)| / scale at its samples of the null lines
+    curve = ParaCurve(_shifted_power(m, c), _shifted_power(m + 1, c))
+    ccr, _ = residuals.ccr_residual(curve, Domain(-1 + float(c), 1 + float(c), -1, 1))
+    assert ccr.points_checked > 0
+    assert ccr.max_abs <= 1e-12
 
 
 def test_real_roots_of_a_square_free_exact_polynomial_with_close_roots():

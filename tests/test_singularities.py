@@ -9,9 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy
 
 from affsphere.paracomplex import ComplexPoly, ParaPoly
-from affsphere.surfaces import Domain, HoloCurve, ParaCurve, compile_surface
+from affsphere.surfaces import Domain, HoloCurve, Jet2, ParaCurve, compile_surface
 from affsphere import singularities as sg
 
 QUAD_CUBIC = ParaCurve(ParaPoly.monomial(2), ParaPoly.monomial(3))
@@ -180,7 +181,7 @@ def test_lift_rank_one_iff_frontal_not_front():
         for q in sc.points[:: max(1, len(sc) // 10)]:
             if np.hypot(q[0], q[1]) < 0.05:
                 continue
-            fnf = sg._fnf_kind(surf, q[0], q[1], tols) is not None
+            fnf = sg._fnf_kind(surf, surf.chart_derivatives(q[0], q[1]), tols) is not None
             assert (sg.lift_rank(QUAD_CUBIC, q) == 1) == fnf
 
 
@@ -263,21 +264,56 @@ def test_ccr_obstruction_vanishes_on_null_lines():
         assert abs(dpsi0) < 1e-10
 
 
+def _control_psi_derivative():
+    """Psi'(0) of the frontal (u, v^2, u v^3) along v = 0, with eta = (0, 1), by sympy."""
+    u, v, t = sympy.symbols("u v t", real=True)
+    x = sympy.Matrix([u, v**2, u * v**3])
+    normal = sympy.Matrix([-2 * v**3, -3 * u * v, 2])
+    assert sympy.simplify(normal.dot(x.diff(u))) == 0 and sympy.simplify(normal.dot(x.diff(v))) == 0
+    nu = normal / sympy.sqrt(normal.dot(normal))
+    psi = sympy.Matrix.hstack(x.diff(u), nu.diff(v), nu).det().subs({u: t, v: 0})
+    return sympy.diff(psi, t).subs(t, 0)
+
+
 def test_ccr_control_is_not_vacuous():
     psi0, dpsi0 = sg.ccr_psi_control()
+    assert _control_psi_derivative() == sympy.Rational(-3, 2)
     assert abs(psi0) < 1e-12
-    assert abs(dpsi0 + 1.5) < 1e-6
-    assert abs(dpsi0) > 1e-3
+    assert dpsi0 == -1.5
 
 
 def test_ccr_control_is_computed_once_per_process(monkeypatch):
     first = sg.ccr_psi_control()
 
     def recomputed(*args):
-        raise AssertionError("ccr_psi_control ran its frames again")
+        raise AssertionError("ccr_psi_control ran its jets again")
 
-    monkeypatch.setattr(sg, "_psi_values", recomputed)
+    monkeypatch.setattr(sg, "_psi", recomputed)
     assert sg.ccr_psi_control() == first
+
+
+def _jet(field, u, v, at):
+    """Jet2 of (1, 3) rows of a sympy vector field at the point at."""
+    parts = [field, field.diff(u), field.diff(v), field.diff(u, 2), field.diff(u, v), field.diff(v, 2)]
+    return Jet2(*(np.array([[float(c) for c in part.subs({u: at[0], v: at[1]})]]) for part in parts))
+
+
+def test_psi_is_the_derivative_along_the_line():
+    # Psi is multilinear in its three rows, so any fields exercise every term
+    # of its derivative: det(x_d, nu_eta, nu) along p + t d against sympy
+    u, v, t = sympy.symbols("u v t", real=True)
+    x = sympy.Matrix([u**2 * v + v, u * v**2 - u**3, u + 2 * v**3])
+    nu = sympy.Matrix([v**2 - u, u * v + 1, u**2 + v])
+    p, d, eta = (sympy.Rational(1, 3), sympy.Rational(-1, 2)), (3, 4), (-12, 5)
+    d, eta = [sympy.Matrix(w) / sympy.sqrt(w[0] ** 2 + w[1] ** 2) for w in (d, eta)]
+    x_d = x.diff(u) * d[0] + x.diff(v) * d[1]
+    nu_eta = nu.diff(u) * eta[0] + nu.diff(v) * eta[1]
+    psi = sympy.Matrix.hstack(x_d, nu_eta, nu).det().subs({u: p[0] + t * d[0], v: p[1] + t * d[1]})
+    want = [float(psi.subs(t, 0)), float(sympy.diff(psi, t).subs(t, 0))]
+    rows = [np.array([list(w)], dtype=float) for w in (d, eta)]
+    got = sg._psi(_jet(x, u, v, p), _jet(nu, u, v, p), *rows)
+    np.testing.assert_allclose([got[0][0], got[1][0]], want, rtol=1e-13)
+    assert abs(want[1]) > 0.1
 
 
 def test_ccr_errors():

@@ -1,12 +1,12 @@
-"""The Newton projection keeps its bits, and classification runs no solver.
+"""The CLI's probe snap takes every exit path, and classification runs no solver.
 
-`_newton_project_rows`, which snaps a CLI probe onto {lam = 0}, iterates on
-the undecided rows only; a batch equals its one-row calls, and a
-gather-and-scatter loop over the full arrays (written out here as
-`_reference_newton`), on every exit path.  Classification takes its front
-criteria and its swallowtail roots from closed-form jets: neither the Newton
-projection nor Brent's method runs in `_classify_points` or
-`_swallowtail_roots`.
+`cli._snap_probe` pulls a probe onto {lam = 0} by nearest-point Newton steps:
+it keeps a singular probe, stops at |lam| <= tol, gives up on a zero
+gradient or a step beyond half a grid cell, and after 60 steps accepts
+|lam| <= 100 tol.  Classification takes its front criteria, its swallowtail
+roots and Psi from closed-form jets: Brent's method does not run in
+`_classify_points`, `_swallowtail_roots`, `ccr_psi` or `ccr_residual`, and
+the last two do not run the swallowtail Newton either.
 """
 
 import json
@@ -15,10 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affsphere import io
+from affsphere import cli, io, residuals
 from affsphere import singularities as sg
 from affsphere.paracomplex import ComplexPoly, ParaPoly
-from affsphere.surfaces import Domain, HoloCurve, ParaCurve, compile_surface
+from affsphere.surfaces import Domain, HoloCurve, ParaCurve, Surface, compile_surface
 
 REFS = Path(__file__).resolve().parents[1] / "perfbench" / "refs" / "classify.json"
 QUAD_CUBIC = ParaCurve(ParaPoly.monomial(2), ParaPoly.monomial(3))
@@ -32,96 +32,70 @@ def _pool(pool_id):
     return io.curve_from_json(entry["curve"])
 
 
-def _bits(x):
-    return np.ascontiguousarray(x, dtype=float).view(np.uint64)
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
-def _assert_same_bits(got, want):
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        if np.asarray(w).dtype == bool:
-            np.testing.assert_array_equal(g, w)
-        else:
-            np.testing.assert_array_equal(_bits(g), _bits(w))
+# -- the probe snap ----------------------------------------------------------------
 
 
-def _reference_newton(density_jet, q, tol, max_travel):
-    """(q, ok, jet, density_jet calls): the Newton projection gathering from
-    and scattering into the full arrays at every step."""
-    start, q = q, q.copy()
-    ok, jet, calls = np.zeros(len(q), dtype=bool), np.zeros((3, len(q))), 0
-    active = np.arange(len(q))
-    for _ in range(60):
-        if not active.size:
-            return q, ok, jet, calls
-        val, gu, gv = density_jet(q[active, 0], q[active, 1])
-        calls += 1
-        done = np.abs(val) <= tol[active]
-        ok[active[done]] = True
-        jet[:, active[done]] = val[done], gu[done], gv[done]
-        g2 = gu * gu + gv * gv
-        moving = ~done & (g2 != 0.0)
-        active, val, gu, gv, g2 = (x[moving] for x in (active, val, gu, gv, g2))
-        q[active, 0] -= val * gu / g2
-        q[active, 1] -= val * gv / g2
-        active = active[~(np.hypot(*(q[active] - start[active]).T) > max_travel[active])]
-    if active.size:
-        jet[:, active] = density_jet(q[active, 0], q[active, 1])
-        calls += 1
-        ok[active] = np.abs(jet[0, active]) <= 100 * tol[active]
-    return q, ok, jet, calls
+def _snap(monkeypatch, p, res=8, sing=None):
+    """(snapped probe, density_jet calls) of `_snap_probe` on CIRCLE over
+    Domain(), with the singular tolerance replaced by sing when given."""
+    if sing is not None:
+        monkeypatch.setattr(sg, "tolerances_for", lambda curve, radius: sg.Tolerances(sing, 1e-7, 1e-9))
+    compile_surface(CIRCLE)
+    jets = _counting(monkeypatch, Surface, "density_jet")
+    return cli._snap_probe(CIRCLE, Domain(), res, p), len(jets)
 
 
-# (start, tol, max_travel) on CIRCLE, one row per exit path
-NEWTON_ROWS = {
-    "converged at the first step": ((0.5, 0.0), 1e-13, np.inf),
-    "converged later": ((0.3, 0.45), 1e-13, np.inf),
-    "zero gradient": ((0.0, 0.0), 1e-13, np.inf),
-    "max_travel exceeded": ((0.6, 0.1), 1e-13, 1e-3),
-    "60 steps, within 100 tol": ((0.6, 0.1), 1e-18, np.inf),
-    "60 steps, beyond 100 tol": ((0.41, 0.29), 0.0, np.inf),
-}
+def test_snap_keeps_a_singular_probe(monkeypatch):
+    p = (0.5, 0.0)
+    q, calls = _snap(monkeypatch, p)
+    assert q is p and calls == 0
 
 
-def _newton_inputs(names):
-    q = np.array([NEWTON_ROWS[n][0] for n in names])
-    tol, travel = (np.array([NEWTON_ROWS[n][k] for n in names]) for k in (1, 2))
-    return q, tol, travel
+def test_snap_converges_onto_the_circle(monkeypatch):
+    q, calls = _snap(monkeypatch, (0.3, 0.45))
+    assert q != (0.3, 0.45) and 1 < calls < 60
+    lam = compile_surface(CIRCLE).density_jet(*q)[0]
+    assert abs(lam) <= sg.tolerances_for(CIRCLE, 1.0).sing
+    assert abs(np.hypot(*q) - 0.5) < 1e-9
 
 
-def test_newton_rows_take_every_exit_path():
-    surf = compile_surface(CIRCLE)
-    names = list(NEWTON_ROWS)
-    q, ok, jet, calls = _reference_newton(surf.density_jet, *_newton_inputs(names))
+def test_snap_gives_up_on_a_zero_gradient(monkeypatch):
+    p = (0.0, 0.0)
+    q, calls = _snap(monkeypatch, p)
+    assert q is p and calls == 1
+
+
+def test_snap_gives_up_on_a_step_beyond_half_a_cell(monkeypatch):
+    p = (0.6, 0.1)
+    assert _snap(monkeypatch, p)[0] != p  # the steps stay within half a cell at res 8
+    q, calls = _snap(monkeypatch, p, res=4096)
+    assert q is p and calls == 1
+
+
+def test_snap_after_60_steps_accepts_within_100_tol(monkeypatch):
+    q, calls = _snap(monkeypatch, (0.6, 0.1), sing=1e-18)
     assert calls == 61  # the fallback evaluation ran
-    assert dict(zip(names, ok.tolist())) == {
-        "converged at the first step": True, "converged later": True, "zero gradient": False,
-        "max_travel exceeded": False, "60 steps, within 100 tol": True,
-        "60 steps, beyond 100 tol": False,
-    }
-    # failed rows return the iterate they stopped at
-    val, gu, gv = surf.density_jet(np.array([0.6]), np.array([0.1]))
-    moved = [0.6 - (val * gu / (gu * gu + gv * gv))[0], 0.1 - (val * gv / (gu * gu + gv * gv))[0]]
-    np.testing.assert_array_equal(_bits(q[names.index("max_travel exceeded")]), _bits(moved))
-    np.testing.assert_array_equal(_bits(q[names.index("zero gradient")]), _bits([0.0, 0.0]))
-    assert not np.array_equal(q[names.index("60 steps, beyond 100 tol")], [0.41, 0.29])
+    lam = compile_surface(CIRCLE).density_jet(*q)[0]
+    assert 1e-18 < abs(lam) <= 1e-16
+    assert abs(np.hypot(*q) - 0.5) < 1e-15
 
 
-@pytest.mark.parametrize("order", [slice(None), slice(None, None, -1)])
-def test_newton_batch_equals_one_row_calls_and_the_full_array_loop(order):
-    surf = compile_surface(CIRCLE)
-    names = list(NEWTON_ROWS)[order]
-    batch = sg._newton_project_rows(surf, *_newton_inputs(names))
-    _assert_same_bits(batch, _reference_newton(surf.density_jet, *_newton_inputs(names))[:3])
-    for i, name in enumerate(names):
-        one = sg._newton_project_rows(surf, *_newton_inputs([name]))
-        row = [batch[0][i], batch[1][i:i + 1], batch[2][:, i]]
-        _assert_same_bits(row, [one[0][0], one[1], one[2][:, 0]])
-
-
-def test_newton_on_no_rows():
-    q, ok, jet = sg._newton_project_rows(compile_surface(CIRCLE), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
-    assert q.shape == (0, 2) and ok.shape == (0,) and jet.shape == (3, 0)
+def test_snap_after_60_steps_keeps_the_probe_beyond_100_tol(monkeypatch):
+    p = (0.41, 0.29)
+    q, calls = _snap(monkeypatch, p, sing=0.0)
+    assert calls == 61 and q is p
 
 
 # -- classification without solvers ------------------------------------------------
@@ -137,9 +111,30 @@ def test_classification_reaches_no_solver(name, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("a solver ran during classification")
 
-    monkeypatch.setattr(sg, "_newton_project_rows", never)
     monkeypatch.setattr(sg, "_brent", never)
     classes = sg._classify_points(curve, nodes)
     roots = sg._swallowtail_roots(surf, traced)
     assert all(cls.tag is not None for cls in classes)
     assert len(roots) and {cls.tag for cls in sg._classify_points(curve, roots)} >= {sg.TAG_SWALLOWTAIL}
+
+
+# a point on an exact frontal-not-front null line of each curve
+NULL_LINE_POINTS = {"z2z3": (0.5, 0.5), "z3z4": (0.6, 0.6)}
+
+
+@pytest.mark.parametrize("name", sorted(NULL_LINE_POINTS))
+def test_psi_reaches_no_solver_and_one_field_jets_pass(name, monkeypatch):
+    curve = {"z2z3": QUAD_CUBIC, "z3z4": CUBIC_QUARTIC}[name]
+    compile_surface(curve)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a solver ran for Psi")
+
+    monkeypatch.setattr(sg, "_brent", never)
+    monkeypatch.setattr(sg, "_swallowtail_newton", never)
+    jets = _counting(monkeypatch, Surface, "field_jets")
+    psi0, dpsi0 = sg.ccr_psi(curve, NULL_LINE_POINTS[name])
+    assert len(jets) == 1 and abs(psi0) < 1e-12 and abs(dpsi0) < 1e-10
+    jets.clear()
+    ccr, _ = residuals.ccr_residual(curve)
+    assert len(jets) == 1 and ccr.points_checked > 0 and ccr.passed
