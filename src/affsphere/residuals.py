@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .singularities import _null_line_psi, ccr_psi_control
-from .surfaces import Domain, FieldJets, Surface, compile_surface
+from .surfaces import Domain, FieldJets, Surface, _point_pairs, compile_surface
 
 # report name -> tolerance, read by the suites and by a failure report of a
 # suite whose input could not be built
@@ -57,16 +57,6 @@ def _surface(curve_or_surface) -> Surface:
     return compile_surface(curve_or_surface)
 
 
-def _uv(points):
-    """(u, v) float arrays of an iterable of (u, v) pairs or an (n, 2) array."""
-    if not isinstance(points, np.ndarray):
-        points = list(points)
-    pts = np.asarray(points if len(points) else np.empty((0, 2)), dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError(f"expected (u, v) pairs, got an array of shape {pts.shape}")
-    return pts[:, 0], pts[:, 1]
-
-
 class PointSet(NamedTuple):
     """Points evaluated once: the surface, the u and v arrays, their field jets
     and, for a graph patch, the chart: (Jacobian, its determinant, the graph
@@ -90,10 +80,10 @@ def evaluate(curve, points, chart=False) -> PointSet:
         pts = points
     else:
         surf = _surface(curve)
-        u, v = _uv(points)
+        u, v = _point_pairs(points).T
         pts = PointSet(surf, u, v, surf.field_jets(u, v))
     if chart and pts.chart is None:
-        jac, det, (p, q) = _chart_solve(pts.surf, pts.u, pts.v, pts.jets)
+        jac, det, (p, q) = _chart_solve(pts.u, pts.v, pts.jets)
         pts = pts._replace(chart=(jac, det, (p, q), _graph_hessian(pts.jets, p, q)))
     return pts
 
@@ -218,14 +208,13 @@ def _cramer(jac, det, a, b):
     return (a * x2v - x2u * b) / det, (x1u * b - x1v * a) / det
 
 
-def _chart_solve(surf, u, v, jets=None):
+def _chart_solve(u, v, j):
     """Jacobian, its determinant, and the graph gradient (p, q), which solves
     J^T (p, q) = (phi_u, phi_v), at a float point or at arrays of points.
 
-    jets: surf.field_jets(u, v) when the caller already has them.  Raises
-    PatchNotGraph naming the first point where |det J| <= 1e-6.
+    j: the field jets at (u, v).  Raises PatchNotGraph naming the first point
+    where |det J| <= 1e-6.
     """
-    j = jets or surf.field_jets(u, v)
     (_, x1u, x1v, *_), (_, x2u, x2v, *_), (_, phiu, phiv, *_) = j.x1, j.x2, j.phi
     jac = np.array([[x1u, x1v], [x2u, x2v]])
     det = x1u * x2v - x1v * x2u

@@ -12,14 +12,16 @@ swallowtail.
 
 Every quantity in these criteria is a polynomial jet of F and G, so
 classification is a function of the jets at the point, with no solver.
-`_classify_points` takes each stage once, on all rows that reach it: lift
+`_classify_rows` is the one singular-point pipeline, whose rows
+classification, `ccr_psi` and the ccr suite all read.  Each stage runs
+once, on all rows that reach it, from one `Surface.chart_jet` pass over
+all rows (lam, grad lam, the chart components, the front jets) and one
+`Surface.field_jets` pass over the singular rows (the lift frames): lift
 ranks from |dnu(eta)| against |dnu|; the branch, frontal-not-front and
-degenerate masks; D and dD/dt in closed form from one kernel pass over the
-first three derivatives of F and G (`_front_jet`); and the Psi test of
-Fujimori, Saji, Umehara and Yamada, Psi(0) and Psi'(0) along each exact
-null line in closed form from the second-order jets of the position and
-the unit normal (`_psi`) that the lift ranks already take.  A report makes
-one such call, on its nodes, swallowtail roots and probes together, so it
+degenerate masks; D and dD/dt in closed form (`_front_jet`); and the Psi
+test of Fujimori, Saji, Umehara and Yamada, Psi(0) and Psi'(0) along each
+exact null line in closed form from the lift frames (`_psi`).  A report
+classifies its nodes, swallowtail roots and probes in one call, so it
 costs a fixed number of kernel calls, not a number per traced node.
 Swallowtails are common zeros of lam and Lambda = grad lam . c, c the
 chosen rotated row of the chart matrix: one batched 2x2 Newton
@@ -49,7 +51,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .paracomplex import para_to_dalembert
-from .surfaces import Domain, Jet2, _conormal_jet, _dot, _position_jet, _unit_normal_jet, compile_surface
+from .surfaces import Domain, Jet2, _conormal_jet, _dot, _point_pairs, _position_jet, _unit_normal_jet, compile_surface
 
 TAG_REGULAR = "Regular"
 TAG_BRANCH = "BranchPoint"
@@ -72,8 +74,8 @@ class BranchPointError(ValueError):
 
 class TraceRequired(RuntimeError):
     """The point is on no singular curve the test runs along: a front point off
-    the given traced polylines (classify_point), or a point on no exact
-    frontal-not-front null line, or without a null direction there (ccr_psi)."""
+    the given traced polylines (classify_point), or a singular point whose
+    row of the classifier carries no Psi (ccr_psi)."""
 
 
 @dataclass(frozen=True)
@@ -123,11 +125,6 @@ def grad_density(curve, p):
 # Vectors are the last axis of an array: one point is a (2,) row, n points an
 # (n, 2) array.  Every helper runs the same IEEE operations on each row as on a
 # single point.
-
-
-def _rows(pts):
-    """(n, 2) float array of a sequence of (u, v) pairs or an (n, 2) array."""
-    return np.asarray(pts, dtype=float).reshape(-1, 2)
 
 
 def _unit(vec):
@@ -226,7 +223,7 @@ def _lift_ranks(x, nu, eta):
 def lift_rank(curve, p) -> int:
     """Rank of the lift (position, unit normal) at p: one row of `_lift_ranks`."""
     surf = compile_surface(curve)
-    u, v = _rows([p]).T
+    u, v = _point_pairs([p]).T
     eta, _ = _null_direction(_chart_matrix(surf, u, v))
     return int(_lift_ranks(*_lift_frames(surf, u, v), eta)[0])
 
@@ -598,9 +595,17 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
 # -- front criteria from jets -----------------------------------------------------
 
 
-def _front_jet(surf, u, v, first=None):
-    """The front criteria and their Newton system at the rows (u, v), from one
-    `Surface.chart_jet` pass, with no projection onto {lam = 0}.
+def _take(tree, idx):
+    """The rows idx of every array in a nested tuple or list of arrays over rows."""
+    if isinstance(tree, np.ndarray):
+        return tree[idx]
+    return tuple(_take(x, idx) for x in tree)
+
+
+def _front_jet(jet, s, first=None):
+    """The front criteria and their Newton system at the rows of jet, a
+    `Surface.chart_jet` result on arrays of points, s = e**2; a pure
+    function of the jet, with no kernel call and no projection onto {lam = 0}.
 
     c is the rotated row of the chart matrix m that `_null_direction` picks,
     or, where first is given, the first row where it is True and the second
@@ -616,8 +621,7 @@ def _front_jet(surf, u, v, first=None):
     |c|) are the Newton system on (lam, Lambda), each equation divided by its
     scale.
     """
-    s = surf.unit_sq
-    lam, grad, hess, comps = surf.chart_jet(u, v)
+    lam, grad, hess, comps = jet
     (c1, c2), *partials = (_null_candidates(_chart(*x, s)) for x in comps)
     first = _first_is_larger(c1, c2) if first is None else first
     g_hat, g_norm = _unit(np.stack(grad, axis=-1))
@@ -669,33 +673,31 @@ class SingularClass:
     degenerate: bool
 
 
-def _classify_points(curve, pts) -> list:
-    """Class labels of the points of the surface over the rows of pts, with evidence.
+def _classify_rows(surf, p, tols):
+    """The singular-point pipeline on the rows of p, an (n, 2) array, with
+    their Tolerances tols, from one chart_jet and one field_jets pass.
 
     Decision order per row: regular; branch point; the two frontal-not-front
-    conditions; degenerate gradient; then the front criteria, D =
-    det(gamma', eta) and dD/dt from the jets at the point (`_front_jet`).
+    conditions; degenerate gradient; then the front criteria (`_front_jet`).
     Each stage runs once, on the array of rows that reach it, and every row
-    gets a tag.  The singular rows take one chart_derivatives and one
-    field_jets pass, which give the lift ranks, the branch and
-    frontal-not-front masks and Psi; a frontal-not-front row gets Psi where
-    its null direction is longer than its branch tolerance.
+    gets a tag.  A frontal-not-front row gets Psi where its null direction
+    is longer than its branch tolerance.
+
+    Returns (tags, degenerate, evidence, rows, x, nu): each row's tag and
+    degenerate flag; the Evidence columns in field order, None where no
+    stage set them; the indices of the singular rows and their
+    `_lift_frames` jets x and nu.
     """
-    p = _rows(pts)
-    if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
-        return []
-    surf = compile_surface(curve)
     u, v = p[:, 0], p[:, 1]
-    n = len(p)
-    tols = _point_tols(curve, p)
-    lam, gu, gv = surf.density_jet(u, v)
+    jet = surf.chart_jet(u, v)
+    lam, (gu, gv), _, (comps, _, _) = jet
     grad = np.hypot(gu, gv)
     degenerate = grad <= tols.deg
-    tags = np.full(n, TAG_REGULAR, dtype=object)
-    rank, det0, ddet, psi0, dpsi0 = (np.full(n, None, dtype=object) for _ in range(5))
+    tags = np.full(len(p), TAG_REGULAR, dtype=object)
+    det0, ddet, psi0, dpsi0, rank = (np.full(len(p), None, dtype=object) for _ in range(5))
 
     rows = np.flatnonzero(~(np.abs(lam) > tols.sing))
-    comps = surf.chart_derivatives(u[rows], v[rows])
+    comps = _take(comps, rows)
     eta, eta_norm = _null_direction(_chart(*comps, surf.unit_sq))
     x, nu = _lift_frames(surf, u[rows], v[rows])
     rank[rows] = _lift_ranks(x, nu, eta).tolist()
@@ -709,29 +711,31 @@ def _classify_points(curve, pts) -> list:
         a, b = _psi(x.rows(line), nu.rows(line), _line_directions(kinds[line]), eta[line])
         psi0[rows[line]], dpsi0[rows[line]] = a.tolist(), b.tolist()
 
-    rows = rows[~branch & ~fnf]
-    tags[rows[degenerate[rows]]] = TAG_DEGENERATE_OTHER
-    rows = rows[~degenerate[rows]]
+    front = rows[~branch & ~fnf]
+    tags[front[degenerate[front]]] = TAG_DEGENERATE_OTHER
+    front = front[~degenerate[front]]
 
-    d, dd, *_ = _front_jet(surf, u[rows], v[rows])
-    two = rank[rows] == 2
+    d, dd, *_ = _front_jet(_take(jet, front), surf.unit_sq)
+    two = rank[front] == 2
     swallowtail = two & (np.abs(d) <= _DET_TOL) & (np.abs(dd) > _DET_TOL)
-    tags[rows] = np.where(
+    tags[front] = np.where(
         two & (np.abs(d) > _DET_TOL), TAG_CUSPIDAL_EDGE,
         np.where(swallowtail, TAG_SWALLOWTAIL, TAG_FRONT_UNCLASSIFIED),
     ).tolist()
-    det0[rows], ddet[rows] = d.tolist(), dd.tolist()
+    det0[front], ddet[front] = d.tolist(), dd.tolist()
+    return tags, degenerate, (lam.tolist(), grad.tolist(), det0, ddet, psi0, dpsi0, rank), rows, x, nu
 
+
+def _classify_points(curve, pts) -> list:
+    """Class labels of the points of the surface over the (u, v) pairs pts,
+    with evidence: the rows of `_classify_rows`."""
+    p = _point_pairs(pts)
+    if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
+        return []
+    tags, degenerate, evidence, *_ = _classify_rows(compile_surface(curve), p, _point_tols(curve, p))
     return [
-        SingularClass(
-            tag=tag, point=(pu, pv), degenerate=deg,
-            evidence=Evidence(density=lm, grad_norm=g, det_ge=d0, ddet_ge=dd0,
-                              psi0=s0, dpsi0=ds0, lift_rank=r),
-        )
-        for tag, pu, pv, deg, lm, g, d0, dd0, s0, ds0, r in zip(
-            tags, u.tolist(), v.tolist(), degenerate.tolist(), lam.tolist(), grad.tolist(),
-            det0, ddet, psi0, dpsi0, rank,
-        )
+        SingularClass(tag=tag, point=(pu, pv), evidence=Evidence(*ev), degenerate=deg)
+        for tag, pu, pv, deg, *ev in zip(tags, p[:, 0].tolist(), p[:, 1].tolist(), degenerate.tolist(), *evidence)
     ]
 
 
@@ -788,43 +792,21 @@ def _psi(x, nu, d, eta):
     return psi0, terms[0] + terms[1] + terms[2]
 
 
-def _fnf_psi(surf, p, tols):
-    """(rows, Psi(0), Psi'(0), x, nu) at the rows of p where Psi is defined.
-
-    rows: the indices of the rows that are singular, meet a frontal-not-front
-    condition (`_fnf_kind`) and have a null direction longer than their branch
-    tolerance; x and nu: the `_lift_frames` jets there.  One pass each of
-    density_jet, chart_derivatives and field_jets.
-    """
-    u, v = p[:, 0], p[:, 1]
-    lam, _, _ = surf.density_jet(u, v)
-    rows = np.flatnonzero(~(np.abs(lam) > tols.sing))
-    comps = surf.chart_derivatives(u[rows], v[rows])
-    kinds = _fnf_kind(surf, comps, tols.rows(rows))
-    eta, eta_norm = _null_direction(_chart(*comps, surf.unit_sq))
-    line = np.array([k is not None for k in kinds], dtype=bool) & ~(eta_norm <= tols.branch[rows])
-    rows = rows[line]
-    x, nu = _lift_frames(surf, u[rows], v[rows])
-    return (rows, *_psi(x, nu, _line_directions(kinds[line]), eta[line]), x, nu)
-
-
 def ccr_psi(curve, p):
     """(Psi(0), Psi'(0)) for the cuspidal-cross-cap test at p on an exact null line.
 
     Psi(t) = det(dpsi(gamma'), D_eta nu, nu) along the frontal-not-front null
     line through p, and its derivative, in closed form from the jets at p
-    (`_psi`).  Raises NotSingular off the singular set, and TraceRequired
-    where p is on no such line or has no null direction there.
+    (`_psi`): the Psi evidence of p's row of `_classify_points`.  Raises
+    NotSingular where that row is Regular, and TraceRequired where it has no
+    Psi: p is on no such line, is a branch point, or has no null direction.
     """
-    surf = compile_surface(curve)
-    q = _rows([p])
-    tols = _point_tols(curve, q)
-    rows, psi0, dpsi0, _, _ = _fnf_psi(surf, q, tols)
-    if rows.size:
-        return float(psi0[0]), float(dpsi0[0])
-    if np.abs(surf.density_jet(q[:, 0], q[:, 1])[0][0]) > tols.sing[0]:
-        raise NotSingular(f"({q[0, 0]}, {q[0, 1]}) is not singular")
-    raise TraceRequired(f"{tuple(p)} is on no frontal-not-front null line, or has no null direction there")
+    cls = _classify_points(curve, [p])[0]
+    if cls.tag == TAG_REGULAR:
+        raise NotSingular(f"({cls.point[0]}, {cls.point[1]}) is not singular")
+    if cls.evidence.psi0 is None:
+        raise TraceRequired(f"{tuple(p)} is classed {cls.tag}, which carries no Psi")
+    return cls.evidence.psi0, cls.evidence.dpsi0
 
 
 @functools.cache
@@ -844,20 +826,24 @@ def ccr_psi_control():
 
 
 def _null_line_psi(curve, domain):
-    """(Psi'(0), scale) at the samples of the exact null lines where Psi is
-    defined (`_fnf_psi`): the points and the Jacobian scale of the ccr suite.
-    Every line gets 48 evenly spaced points, of which every ninth from the
-    ninth on is a sample.  scale is max(1, |d x| |d nu|), with the Frobenius
-    norms of the 3x2 Jacobians of position and unit normal at the sample.
+    """(Psi'(0), scale) at the samples of the exact null lines whose rows of
+    `_classify_rows` carry Psi: the points and the Jacobian scale of the ccr
+    suite.  Every line gets 48 evenly spaced points, of which every ninth
+    from the ninth on is a sample.  scale is max(1, |d x| |d nu|), with the
+    Frobenius norms of the 3x2 Jacobians of position and unit normal at the
+    sample, from the lift frames of the classifier.
     """
     surf = compile_surface(curve)
     lines = [] if surf.density_is_zero else _null_lines(curve, domain, 48)
     if not lines:
         return np.zeros(0), np.zeros(0)
     p = np.concatenate([pts[9::9] for _, pts in lines])
-    _, _, dpsi0, x, nu = _fnf_psi(surf, p, _point_tols(curve, p))
+    _, _, evidence, rows, x, nu = _classify_rows(surf, p, _point_tols(curve, p))
+    dpsi0 = evidence[5][rows]  # Evidence.dpsi0 of the singular rows
+    line = np.flatnonzero([d is not None for d in dpsi0])
     # Frobenius norms, summed in np.linalg.norm's order
-    jac_x, jac_n = (np.stack(pair, axis=-1).reshape(-1, 6) for pair in ((x.du, x.dv), (nu.du, nu.dv)))
+    jac_x, jac_n = (np.stack(pair, axis=-1)[line].reshape(-1, 6) for pair in ((x.du, x.dv), (nu.du, nu.dv)))
+    dpsi0 = dpsi0[line].astype(float)
     return dpsi0, np.maximum(1.0, np.sqrt(_dot(jac_x, jac_x)) * np.sqrt(_dot(jac_n, jac_n)))
 
 
@@ -910,7 +896,7 @@ def _swallowtail_newton(surf, seeds, reach):
         # a zero grad lam or c, a singular system or an overflow makes the
         # step non-finite, and its row drops out
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det, _, lam, (gu, gv), (lu, lv), first = _front_jet(surf, q[:, 0], q[:, 1], first)
+            det, _, lam, (gu, gv), (lu, lv), first = _front_jet(surf.chart_jet(*q.T), surf.unit_sq, first)
             jac = gu * lv - gv * lu
             step = np.stack([-(lv * lam + gv * det), lu * lam + gu * det], axis=-1) / jac[:, None]
             size = np.hypot(*step.T)
@@ -983,7 +969,7 @@ def classification_report(curve, domain: Domain, grid_res=64, probes=()) -> dict
     probes = list(probes)
     nodes = np.concatenate([sc.points for sc in traced] + [np.zeros((0, 2))])
     roots = _swallowtail_roots(compile_surface(curve), traced)
-    classes = _classify_points(curve, np.concatenate([nodes, roots, _rows(probes)]))
+    classes = _classify_points(curve, np.concatenate([nodes, roots, _point_pairs(probes)]))
     entries = list(zip(nodes, classes))
     entries += _swallowtails(roots, classes[len(nodes):len(nodes) + len(roots)])
     entries += zip(probes, classes[len(nodes) + len(roots):])

@@ -90,6 +90,16 @@ class Domain:
         return (np.linspace(self.u0, self.u1, nu), np.linspace(self.v0, self.v1, nv))
 
 
+def _point_pairs(points):
+    """(n, 2) float array of an iterable of (u, v) pairs or an (n, 2) array; ValueError otherwise."""
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    pts = np.asarray(points if len(points) else np.empty((0, 2)), dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"expected (u, v) pairs, got an array of shape {pts.shape}")
+    return pts
+
+
 def _check_degree(poly, name):
     if poly.degree > MAX_CURVE_DEGREE:
         raise ValueError(
@@ -219,8 +229,9 @@ class Surface:
     The float kernel holds the Horner lists of F, F', F'', G, G', G'',
     K = Int (G dF - F dG), K', K'', F''' and G''' (the last two give the
     Hessian of the density and the partials of the chart matrix).  Points
-    (``field_jets``, ``density_jet``, ``chart_jet``, ``chart_derivatives``
-    and the Jet2 views) use planar Horner on Python floats, for s = +1 two
+    have two kernels, ``field_jets`` (and the Jet2 views of it) and
+    ``chart_jet``, of which ``density_jet`` and ``chart_derivatives`` are
+    projections.  They use planar Horner on Python floats, for s = +1 two
     passes of the grids' real Horner (``_horner_real``) in the null
     coordinates u + v and u - v.  On arrays of points each makes one Horner
     pass over a table stacking the lists it needs (``_eval``), bit for bit
@@ -356,23 +367,15 @@ class Surface:
         s = self.unit_sq
         return s * _mod_diff(*(_horner(self._horner[k], u, v, s) for k in (1, 4)), s)
 
-    def density_jet(self, u, v):
-        """(density, d/du, d/dv) at a float point or at arrays of points."""
-        s = self.unit_sq
-        dF, d2F, dG, d2G = self._eval((1, 2, 4, 5), u, v)
-        f_u, f_v = _mod_gradient(dF, d2F, s)
-        g_u, g_v = _mod_gradient(dG, d2G, s)
-        return s * _mod_diff(dF, dG, s), s * (f_u - g_u), s * (f_v - g_v)
-
     def chart_jet(self, u, v):
         """(density, its gradient, its Hessian, chart components) at a float point
         or at arrays of points, from one pass over F', F'', F''', G', G'', G'''.
 
         The chart components are three 4-tuples: (f1u, f2u, g1u, g2u), the
         components of F' and G'; their u partials, the components of F'' and
-        G''; and their v partials, the components of e F'' and e G''.  The
-        density and its gradient equal density_jet's bit for bit, and the
-        first 4-tuple chart_derivatives'.
+        G''; and their v partials, the components of e F'' and e G''.  It is
+        the one point kernel of the density's jets and the chart matrix:
+        density_jet and chart_derivatives are projections of it.
         """
         s = self.unit_sq
         dF, d2F, d3F, dG, d2G, d3G = self._eval((1, 2, 9, 4, 5, 10), u, v)
@@ -382,10 +385,14 @@ class Surface:
         comps = ((f1, f2, g1, g2), (a1, a2, b1, b2), (s * a2, a1, s * b2, b1))
         return s * _mod_diff(dF, dG, s), grad, hess, comps
 
+    def density_jet(self, u, v):
+        """(density, d/du, d/dv) at a float point or at arrays of points, of chart_jet."""
+        lam, grad, _, _ = self.chart_jet(u, v)
+        return lam, *grad
+
     def chart_derivatives(self, u, v):
-        """(f1u, f2u, g1u, g2u): the components of F' and G' at a float point or arrays of points."""
-        dF, dG = self._eval((1, 4), u, v)
-        return (*_re_im(dF, self.unit_sq), *_re_im(dG, self.unit_sq))
+        """(f1u, f2u, g1u, g2u), the components of F' and G': chart_jet's first chart components."""
+        return self.chart_jet(u, v)[3][0]
 
     def field_jets(self, u, v) -> FieldJets:
         """Jets of x1, x2, phi, n1, n2 at a float point, or at equal-length float

@@ -18,21 +18,21 @@ from affsphere.surfaces import Domain, HoloCurve, ParaCurve, Surface, compile_su
 QUAD_CUBIC = ParaCurve(ParaPoly.monomial(2), ParaPoly.monomial(3))
 CUBIC_QUARTIC = ParaCurve(ParaPoly.monomial(3), ParaPoly.monomial(4))
 BOX = Domain(-1.2, 1.2, -1.2, 1.2)
-# density_jet calls of one pass: the rows' jets (the front criteria take
-# theirs from Surface.chart_jet)
+# chart_jet calls of one pass: the rows' jets, which give lam, the chart
+# components and the front criteria alike
 CLASSIFY_BOUND = 1
 
 
 @pytest.fixture
 def jet_calls(monkeypatch):
     calls = [0]
-    original = Surface.density_jet
+    original = Surface.chart_jet
 
     def counted(self, u, v):
         calls[0] += 1
         return original(self, u, v)
 
-    monkeypatch.setattr(Surface, "density_jet", counted)
+    monkeypatch.setattr(Surface, "chart_jet", counted)
     return calls
 
 
@@ -55,7 +55,7 @@ def test_density_evaluations_do_not_grow_with_nodes(curve, jet_calls):
     (nodes64, classify64, report64), (nodes256, classify256, report256) = counts[64], counts[256]
     assert nodes256 > 3 * nodes64
     assert classify64 <= CLASSIFY_BOUND and classify256 <= CLASSIFY_BOUND
-    # the trace adds one call for its tangents
+    # the trace's tangents, the swallowtail brackets and Newton steps add a few calls
     assert report256 <= 2 * report64 < nodes64
 
 

@@ -4,9 +4,9 @@ The trace evaluates the density once for the nodes of all its lines and
 runs, and the swallowtail search takes its bracket references from the
 node pass instead of evaluating the kernel again at those nodes.  A change
 that brings back a per-piece density call or the second node pass exceeds
-the budget.  Classification takes the chart components and the jets of
-position and normal once, for the lift ranks, the frontal-not-front test
-and Psi alike.
+the budget.  Classification takes one chart_jet pass over all its rows,
+for lam, its gradient, the chart components and the front criteria, and
+one field_jets pass over the singular rows, for the lift ranks and Psi.
 """
 
 import numpy as np
@@ -22,10 +22,10 @@ CURVES = {
     "z3z4": ParaCurve(ParaPoly.monomial(3), ParaPoly.monomial(4)),
 }
 # Horner passes of one cold classification_report at res 64 on Domain(), the
-# three of Surface._build included, as measured with one chart_derivatives and
-# one field_jets pass in classification; a second field_jets pass and two more
-# chart_derivatives passes for Psi made 30 on both curves.
-HORNER_BUDGET = {"z2z3": 27, "z3z4": 27}
+# three of Surface._build included, as measured with one chart_jet and one
+# field_jets pass in classification; separate density_jet, chart_derivatives
+# and chart_jet passes for the same rows made 27 on both curves.
+HORNER_BUDGET = {"z2z3": 25, "z3z4": 25}
 
 
 @pytest.mark.parametrize("name", sorted(HORNER_BUDGET))
@@ -49,7 +49,7 @@ def test_classification_takes_each_jet_once(name, monkeypatch):
     traced = sg.trace_singular_curves(curve, Domain(), 64)
     nodes = np.concatenate([sc.points for sc in traced])
     calls = {}
-    for method in ("field_jets", "chart_derivatives"):
+    for method in ("chart_jet", "field_jets", "density_jet", "chart_derivatives"):
         def counted(self, u, v, _method=method, _original=getattr(Surface, method)):
             calls[_method] = calls.get(_method, 0) + 1
             return _original(self, u, v)
@@ -57,4 +57,4 @@ def test_classification_takes_each_jet_once(name, monkeypatch):
         monkeypatch.setattr(Surface, method, counted)
     classes = sg._classify_points(curve, nodes)
     assert sg.TAG_FRONTAL_NOT_FRONT in {cls.tag for cls in classes}
-    assert calls == {"field_jets": 1, "chart_derivatives": 1}
+    assert calls == {"chart_jet": 1, "field_jets": 1}

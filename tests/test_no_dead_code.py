@@ -6,6 +6,9 @@ that nothing in ``src/affsphere`` calls serves only tests and is deleted.
 Every public function, method, class and module constant must be named by
 package code, ``perfbench/``, ``demos/`` or ``affsphere.__all__``; a public
 method only counts as named where it appears as an attribute or in a string.
+Every optional parameter of a private function or method must be left at its
+default by some package call; a knob that every caller sets is a required
+parameter.
 """
 
 import ast
@@ -142,3 +145,48 @@ def _unreferenced_public_definitions():
 def test_every_public_definition_is_named_by_its_users():
     unused = _unreferenced_public_definitions()
     assert not unused, f"public definitions no package, perfbench or demo code names: {unused}"
+
+
+def _optional_parameters(fn, bound):
+    """(call position or None, name) of the parameters of fn that have a
+    default; bound: the first positional parameter is self or cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first_default = len(positional) - len(args.defaults)
+    out = [(i - bound, arg.arg) for i, arg in enumerate(positional) if i >= first_default]
+    return out + [(None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+
+
+def _leaves_default(call, position, name):
+    """Whether call leaves the parameter at its default: it passes it neither
+    by position nor by keyword, or it unpacks *args or **kwargs."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args) or any(kw.arg is None for kw in call.keywords):
+        return True
+    by_position = position is not None and position < len(call.args)
+    return not by_position and all(kw.arg != name for kw in call.keywords)
+
+
+def _knobs_always_set():
+    functions, calls = [], {}  # calls: name -> the package's calls of that name
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {id(item) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for item in cls.body}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and _is_private(node.name):
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+                functions.append((node, f"{path.name}:{node.lineno}", id(node) in methods and not static))
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return sorted(
+        f"{fn.name}({name}=...) ({where})"
+        for fn, where, bound in functions
+        for position, name in _optional_parameters(fn, bound)
+        if not any(_leaves_default(call, position, name) for call in calls.get(fn.name, []))
+    )
+
+
+def test_every_private_knob_is_left_at_its_default_somewhere():
+    always_set = _knobs_always_set()
+    assert not always_set, f"optional parameters every package call sets: {always_set}"

@@ -7,16 +7,20 @@ carries the factor (a - c)^(m-1) (b - c)^(m-1), so the line constants are
 (m-1)-fold roots, which the companion matrix splits into clusters.  For
 exact coefficients gcd(P, P') decides that a root repeats, not the spread
 of its cluster.  On those lines the cuspidal-cross-cap obstruction Psi'(0)
-vanishes, as on the untranslated pair.
+vanishes, as on the untranslated pair.  Near the branch crossing (c, 0) of
+the two lines, `ccr_psi` gives the Psi of the classifier's row, and raises
+where that row has none.
 """
 
 from collections import Counter
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
 from affsphere import residuals
+from affsphere import singularities as sg
 from affsphere.paracomplex import ParaPoly, Poly1
 from affsphere.singularities import classification_report, trace_singular_curves
 from affsphere.surfaces import Domain, ParaCurve
@@ -77,3 +81,25 @@ def test_real_roots_of_a_square_free_exact_polynomial_with_close_roots():
     a, b = Fraction(1, 1000), Fraction(2, 1000)
     p = Poly1([a * b, a * b - (a + b), 1 - (a + b), 1])
     assert [round(r, 12) for r in p.real_roots()] == [-1.0, 0.001, 0.002]
+
+
+# offsets t of the probes (c + t, +-t) from the branch crossing; the last two
+# are BranchPoint rows where a second frontal-not-front stage, which skipped
+# the branch test, gave a Psi: (z^4, z^5) at t = 3.665e-4 and m = 3, c = 1/3
+# at t = 1.343e-5
+CROSSING_OFFSETS = [*np.geomspace(1e-6, 0.1, 11).tolist(), 0.0003665241237079626, 1.3433993325989015e-05]
+
+
+@pytest.mark.parametrize("c", [Fraction(0), Fraction(1, 3), Fraction(1, 7), Fraction(-2, 5)], ids=str)
+def test_ccr_psi_is_the_classifier_row_near_the_branch_crossing(c):
+    for m in range(2, 13):
+        curve = ParaCurve(_shifted_power(m, c), _shifted_power(m + 1, c))
+        for t in CROSSING_OFFSETS:
+            for p in ((float(c) + t, t), (float(c) + t, -t)):
+                row = sg._classify_points(curve, [p])[0]
+                if row.evidence.psi0 is None:
+                    error = sg.NotSingular if row.tag == sg.TAG_REGULAR else sg.TraceRequired
+                    with pytest.raises(error):
+                        sg.ccr_psi(curve, p)
+                else:
+                    assert sg.ccr_psi(curve, p) == (row.evidence.psi0, row.evidence.dpsi0)

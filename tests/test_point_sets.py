@@ -1,4 +1,5 @@
-"""Point sets as arrays: field_jets on arrays, and one kernel call per residual suite."""
+"""Point sets as arrays: field_jets on arrays, one kernel call per residual suite,
+and one normalizer of (u, v) pairs that the suites and the classifier share."""
 
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from affsphere import residuals
+from affsphere import singularities as sg
 from affsphere.bipoly import BiPoly
 from affsphere.paracomplex import ComplexPoly, ParaPoly
 from affsphere.residuals import PatchNotGraph, regular_graph_patch
@@ -113,7 +115,7 @@ def test_chart_solve_on_arrays_matches_lu_per_point(curve_cls, poly_cls):
     surf = compile_surface(_random_curve(np.random.default_rng(11), curve_cls, poly_cls))
     points = regular_graph_patch(surf, BOX, res=16)
     u, v = points[:, 0], points[:, 1]
-    _, det, (p, q) = residuals._chart_solve(surf, u, v)
+    _, det, (p, q) = residuals._chart_solve(u, v, surf.field_jets(u, v))
     for k, (a, b) in enumerate(points.tolist()):
         j = surf.field_jets(a, b)
         jac = np.array([[j.x1[1], j.x1[2]], [j.x2[1], j.x2[2]]])
@@ -132,3 +134,33 @@ def test_false_shorthands_patch_nothing(curve_cls, poly_cls):
     for got, want in zip(surf.field_jets(u, v), base.field_jets(u, v)):
         assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(got, want))
     assert surf.fields == base.fields
+
+
+# each call gives a point that is not a (u, v) pair; re-pairing the flat
+# coordinates would classify the wrong points, or more of them
+MALFORMED = {
+    "classify_point": lambda: sg.classify_point(QUAD_CUBIC, (-2 / 3, 0.0, 9.0, 9.0)),
+    "ccr_psi": lambda: sg.ccr_psi(QUAD_CUBIC, (0.3, 0.3, 1.0, 2.0)),
+    "_classify_points": lambda: sg._classify_points(QUAD_CUBIC, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]),
+    "classification_report": lambda: sg.classification_report(QUAD_CUBIC, Domain(), 64, probes=[(0.3, 0.0, 5.0, 5.0)]),
+    "duality_residual": lambda: residuals.duality_residual(QUAD_CUBIC, [(0.1, 0.2, 0.3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_points_that_are_not_pairs_are_refused(name):
+    with pytest.raises(ValueError, match=r"expected \(u, v\) pairs"):
+        MALFORMED[name]()
+
+
+def test_pairs_as_lists_generators_and_arrays_agree():
+    pts = [(0.3, 0.1), (0.5, 0.5), (-0.2, 0.4)]
+    for run in (
+        lambda pts: sg._classify_points(QUAD_CUBIC, pts),
+        lambda pts: residuals.duality_residual(QUAD_CUBIC, pts),
+    ):
+        want = run(pts)
+        assert run(p for p in pts) == want
+        assert run(np.array(pts)) == want
+    assert sg._classify_points(QUAD_CUBIC, (p for p in ())) == []
+    assert residuals.duality_residual(QUAD_CUBIC, np.zeros((0, 2))).points_checked == 0

@@ -205,7 +205,7 @@ def test_lift_linear_gradient_matches_oracle():
 
     surf = compile_surface(LINEAR)
     for u, v in ((0.4, 0.1), (-0.7, 0.6)):
-        _, _, (p, q) = _chart_solve(surf, u, v)
+        _, _, (p, q) = _chart_solve(u, v, surf.field_jets(u, v))
         assert p == pytest.approx(-u, abs=1e-14)
         assert q == pytest.approx(v, abs=1e-14)
     rep = lift_residual(LINEAR, grid_points())
@@ -232,7 +232,7 @@ def test_graph_gradient_is_minus_conormal():
         curve = make(rng)
         surf = compile_surface(curve)
         for u, v in random_regular_points(curve, 15, rng):
-            _, _, (p, q) = _chart_solve(surf, u, v)
+            _, _, (p, q) = _chart_solve(u, v, surf.field_jets(u, v))
             n1 = float(surf.fields["n1"](u, v))
             n2 = float(surf.fields["n2"](u, v))
             scale = max(1.0, abs(n1), abs(n2))

@@ -6,7 +6,8 @@ gradient or a step beyond half a grid cell, and after 60 steps accepts
 |lam| <= 100 tol.  Classification takes its front criteria, its swallowtail
 roots and Psi from closed-form jets: Brent's method does not run in
 `_classify_points`, `_swallowtail_roots`, `ccr_psi` or `ccr_residual`, and
-the last two do not run the swallowtail Newton either.
+the last two do not run the swallowtail Newton either; each takes two
+kernel passes, the classifier's chart_jet and field_jets.
 """
 
 import json
@@ -133,8 +134,10 @@ def test_psi_reaches_no_solver_and_one_field_jets_pass(name, monkeypatch):
     monkeypatch.setattr(sg, "_brent", never)
     monkeypatch.setattr(sg, "_swallowtail_newton", never)
     jets = _counting(monkeypatch, Surface, "field_jets")
+    passes = _counting(monkeypatch, Surface, "_eval")
     psi0, dpsi0 = sg.ccr_psi(curve, NULL_LINE_POINTS[name])
-    assert len(jets) == 1 and abs(psi0) < 1e-12 and abs(dpsi0) < 1e-10
+    assert len(jets) == 1 and len(passes) == 2 and abs(psi0) < 1e-12 and abs(dpsi0) < 1e-10
     jets.clear()
+    passes.clear()
     ccr, _ = residuals.ccr_residual(curve)
-    assert len(jets) == 1 and ccr.points_checked > 0 and ccr.passed
+    assert len(jets) == 1 and len(passes) == 2 and ccr.points_checked > 0 and ccr.passed

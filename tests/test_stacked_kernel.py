@@ -1,7 +1,8 @@
 """The stacked point kernel: one Horner pass per array call, bit for bit the per-point values.
 
 On arrays, `density_jet`, `chart_derivatives` and `field_jets` run the
-Horner lists they need as one table, shorter lists zero-padded at the top;
+Horner lists they need as one table, shorter lists zero-padded at the top
+(the first two are projections of `chart_jet` and take its lists);
 a scalar point runs a pass per list.  Every entry must equal
 the Python-float route at that point, signed zeros included, for curves of
 any degree up to the cap, F and G of different lengths, exact or float
@@ -85,7 +86,7 @@ def _count_horner(monkeypatch):
 
 
 # Horner lists of each kernel
-LISTS = {"density_jet": 4, "chart_derivatives": 2, "field_jets": 9}
+LISTS = {"density_jet": 6, "chart_derivatives": 6, "field_jets": 9}
 
 
 @pytest.mark.parametrize("curve_cls,poly_cls", SIGNATURES, ids=["indefinite", "lsc"])
