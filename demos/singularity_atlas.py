@@ -31,14 +31,14 @@ for sc in traced:
         label += f"  (starts near ({u:+.3f}, {v:+.3f}))"
     print(label)
 
-# classify a spread of points; traced data lets the cusp tests orient along
-# the singular curve
+# classify a spread of points from the jets at each; with the traced curves
+# given, a front point far from every traced node raises TraceRequired
 probes = [
     (0.5, 0.1),                      # regular
     (0.0, 0.0),                      # both curve derivatives vanish
     (0.75, 0.75),                    # on a null line
     (2 / 3 * np.cosh(0.5), 2 / 3 * np.sinh(0.5)),  # on the hyperbola
-    (-2 / 3, 0.0),                   # the degenerate hyperbola point
+    (-2 / 3, 0.0),                   # the swallowtail on the hyperbola
 ]
 print("\nclassification:")
 for p in probes:

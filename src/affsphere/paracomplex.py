@@ -103,14 +103,6 @@ class PlanarScalar:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = self._make(1, 0)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def _coerce(self, other):
         if isinstance(other, PlanarScalar):
             if type(other) is not type(self):

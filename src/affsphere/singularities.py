@@ -3,7 +3,8 @@
 The signed area density (written lam throughout) is the determinant of the
 chart differential; the singular set is its zero locus.  Tracing extracts
 that locus on a grid by marching squares plus an analytic sweep for zero
-lines of even multiplicity, which sign-based extraction cannot see.  At a
+lines of even multiplicity, which sign-based extraction cannot see, and
+returns its polylines only: it evaluates no jet at their nodes.  At a
 singular point the kernel direction of the differential, the rank of the
 lifted map, two algebraic frontal conditions, and the front criteria of
 Kokubu, Rossman, Saji, Umehara and Yamada decide the class label:
@@ -26,15 +27,16 @@ costs a fixed number of kernel calls, not a number per traced node.
 Swallowtails are common zeros of lam and Lambda = grad lam . c, c the
 chosen rotated row of the chart matrix: one batched 2x2 Newton
 (`_swallowtail_newton`) from the midpoints of the brackets where D changes
-sign between traced nodes.  `classify_point`, `ccr_psi`, `lift_rank` and
+sign between traced nodes, D taken from one `Surface.chart_jet` pass over
+the nodes (`_node_dets`).  `classify_point`, `ccr_psi`, `lift_rank` and
 `null_vector` are one-row calls.
 
 Each primitive has one implementation that every stage shares, acting on
 the last axis of arrays (one point is a (2,) row) with the same IEEE
 operations per row as for a single point, so a row of a batch equals its
-one-row result bit for bit: the sign alignment of vectors (`_aligned`), the
-null direction of the chart matrix (`_null_candidates`, `_null_direction`),
-the front jets (`_front_jet`), and Brent's method (`_brent`).  `_brent`
+one-row result bit for bit: the null direction of the chart matrix
+(`_null_candidates`, `_null_direction`), the front jets (`_front_jet`),
+and Brent's method (`_brent`).  `_brent`
 solves a batch of brackets in lockstep, one call of f per iteration for the
 lanes still open, and each lane returns the float scipy's brentq returns on
 its bracket: the trace solves all crossed grid edges in one call.
@@ -136,13 +138,6 @@ def _unit(vec):
 
 def _det2(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _aligned(vec, ref):
-    """vec, each row negated where it points against ref; unchanged when ref is None."""
-    if ref is None:
-        return vec
-    return np.where((_dot(vec, ref) < 0)[..., None], -vec, vec)
 
 
 # -- null directions --------------------------------------------------------
@@ -255,11 +250,9 @@ def _fnf_kind(surf, comps, tols):
 
 @dataclass(frozen=True)
 class SingularCurve:
-    """Polyline on {lam = 0} with unit tangents and degeneracy flags."""
+    """Polyline on {lam = 0}: its nodes, in walk order."""
 
     points: np.ndarray
-    tangents: np.ndarray
-    degenerate_flags: np.ndarray
     closed: bool
     kind: str  # "traced" | "null-line"
     line: tuple | None = None  # ("sum"|"difference", constant) for null lines
@@ -364,17 +357,13 @@ def _marching_squares(surf, u_axis, v_axis, lam_grid):
 
     segments = []
     for i, j, c, join_00 in zip(iu.tolist(), iv.tolist(), cases.tolist(), joins_00.tolist()):
-        edges = (("bottom", ("h", i, j)), ("right", ("v", i + 1, j)),
-                 ("top", ("h", i, j + 1)), ("left", ("v", i, j)))
-        cell_edges = {name: key for bit, (name, key) in zip((1, 2, 4, 8), edges) if c & bit}
-        # a cell crosses zero on 2 or 4 of its edges
-        if len(cell_edges) == 2:
-            pairs = [tuple(cell_edges)]
-        elif join_00:
-            pairs = [("bottom", "right"), ("top", "left")]
+        # the bits of the bottom, right, top and left edges
+        edges = {1: ("h", i, j), 2: ("v", i + 1, j), 4: ("h", i, j + 1), 8: ("v", i, j)}
+        if c != 15:  # a cell crosses zero on 2 or 4 of its edges
+            pairs = [[b for b in edges if c & b]]
         else:
-            pairs = [("bottom", "left"), ("right", "top")]
-        segments += [(cell_edges[ea], cell_edges[eb]) for ea, eb in pairs]
+            pairs = [(1, 2), (4, 8)] if join_00 else [(1, 8), (2, 4)]
+        segments += [(edges[a], edges[b]) for a, b in pairs]
 
     keys = list(dict.fromkeys(key for segment in segments for key in segment))
     kind, i, j = zip(*keys)
@@ -535,13 +524,14 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
     Marching squares on a grid_res x grid_res grid with root-refined edge
     crossings catches every sign-changing component; zero lines of even
     multiplicity are recovered analytically and reported as straight
-    'null-line' polylines.  An empty list is a normal outcome.
+    'null-line' polylines.  An empty list is a normal outcome.  The density
+    grid, the saddle centres and the edge roots are its only evaluations:
+    whatever a caller needs at the nodes, it evaluates there itself.
     """
     n = int(grid_res)
     if n < 16:
         raise ValueError("trace grid resolution must be at least 16 per axis")
     surf = compile_surface(curve)
-    tols = tolerances_for(curve, domain.radius)
     if surf.density_is_zero:
         return []
 
@@ -549,10 +539,10 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
     lam_grid = surf.density_grid(u_axis, v_axis)
 
     lines = _null_lines(curve, domain, n)
+    curves = [SingularCurve(points=pts, closed=False, kind="null-line", line=line) for line, pts in lines]
 
     segments, crossings = _marching_squares(surf, u_axis, v_axis, lam_grid)
     cell_diag = float(np.hypot(u_axis[1] - u_axis[0], v_axis[1] - v_axis[0]))
-    pieces = []  # (points, closed) of the traced runs
     for chain, closed in _chain_segments(segments):
         pts = np.array([crossings[k] for k in chain])
         if closed and len(pts) > 1:
@@ -565,30 +555,8 @@ def trace_singular_curves(curve, domain: Domain, grid_res=64):
             near |= _near_null_line(pts, line, 0.75 * cell_diag)
         runs = _mask_runs(~near, closed)
         whole = len(runs) == 1 and len(runs[0]) == len(pts)
-        pieces.extend((pts[run], closed and whole) for run in runs if len(run) >= 2)
-
-    # one density pass over the nodes of every line and run
-    polylines = [pts for _, pts in lines] + [pts for pts, _ in pieces]
-    if not polylines:
-        return []
-    nodes = np.concatenate(polylines)
-    _, gu, gv = surf.density_jet(nodes[:, 0], nodes[:, 1])
-    level, norm = _unit(np.stack([-gv, gu], axis=-1))  # unit rot(grad lam), |grad lam|
-    cuts = np.cumsum([len(pts) for pts in polylines])[:-1]
-    levels, flags = np.split(level, cuts), np.split(norm <= tols.deg, cuts)
-    curves = [
-        SingularCurve(
-            points=pts, tangents=np.tile(_NULL_LINE_DIRECTION[line[0]], (len(pts), 1)),
-            degenerate_flags=flag, closed=False, kind="null-line", line=line,
-        )
-        for (line, pts), flag in zip(lines, flags)
-    ]
-    for (pts, closed), t, flag in zip(pieces, levels[len(lines):], flags[len(lines):]):
-        # unit tangents along rot(grad lam), aligned with the walk direction
-        steps = np.concatenate([pts[1:] - pts[:-1], pts[-1:] - pts[-2:-1]])
-        tangents = np.where(flag[:, None], _unit(steps)[0], _aligned(t, steps))
-        curves.append(SingularCurve(points=pts, tangents=tangents, degenerate_flags=flag,
-                                    closed=closed, kind="traced"))
+        curves.extend(SingularCurve(points=pts[run], closed=closed and whole, kind="traced")
+                      for run in runs if len(run) >= 2)
     return curves
 
 
@@ -850,22 +818,25 @@ def _null_line_psi(curve, domain):
 # -- swallowtail search ----------------------------------------------------------
 
 
-def _node_dets(surf, pts, tangents, degenerate):
+def _node_dets(surf, pts):
     """det(gamma', eta) at the concatenated nodes of traced curves, NaN where
-    undefined, eta the null direction as `_null_direction` gives it.
+    undefined, from one chart_jet pass over all of them.
 
-    One array pass over the nodes of all curves.  gamma' is the curve's
-    tangent, which is +-rot(grad lam) exactly at every node not flagged
-    degenerate; det is undefined at the flagged nodes and where the null
-    direction vanishes.  Along the defined nodes each vector is `_aligned`
-    with the aligned vector of the node before.  A sign flip of a reference
-    flips its dot exactly, so the sign of det follows from the cumulative
-    product of the signs of consecutive dots of the raw vectors.  The signs
-    are fixed only up to one factor per curve, which leaves every product of
-    two dets on a curve, the bracket test, unchanged.
+    gamma' = rot(grad lam) / |grad lam| and eta is the null direction as
+    `_null_direction` gives it.  det is undefined where the null direction
+    vanishes and where |grad lam| is at most the point's degenerate
+    tolerance, the rule of the degenerate flag of `_classify_rows`.  Along
+    the defined nodes both vectors are sign-aligned, each with the aligned
+    vector of the node before.  A sign flip of a reference flips its dot
+    exactly, so the sign of det follows from the cumulative product of the
+    signs of consecutive dots of the raw vectors.  The signs are fixed only
+    up to one factor per curve, which leaves every product of two dets on a
+    curve, the bracket test, unchanged.
     """
-    etas, norm = _null_direction(_chart_matrix(surf, pts[:, 0], pts[:, 1]))
-    rows = np.flatnonzero((norm != 0.0) & ~degenerate)
+    _, (gu, gv), _, (comps, _, _) = surf.chart_jet(pts[:, 0], pts[:, 1])
+    tangents, grad = _unit(np.stack([-gv, gu], axis=-1))
+    etas, norm = _null_direction(_chart(*comps, surf.unit_sq))
+    rows = np.flatnonzero((norm != 0.0) & ~(grad <= _point_tols(surf.curve, pts).deg))
     t, eta = tangents[rows], etas[rows]
     flips = [np.where(_dot(x[1:], x[:-1]) < 0, -1.0, 1.0) for x in (t, eta)]
     dets = np.full(len(pts), np.nan)
@@ -919,9 +890,8 @@ def _swallowtail_roots(surf, traced):
     curves = [sc for sc in traced if sc.kind == "traced"]
     if not curves:
         return np.zeros((0, 2))
-    pts, tangents, flags = (np.concatenate([getattr(sc, name) for sc in curves])
-                            for name in ("points", "tangents", "degenerate_flags"))
-    dets = _node_dets(surf, pts, tangents, flags)
+    pts = np.concatenate([sc.points for sc in curves])
+    dets = _node_dets(surf, pts)
     sizes = np.array([len(sc) for sc in curves])
     ends = np.cumsum(sizes)
     k_next = np.arange(1, ends[-1] + 1)  # node k's bracket ends at the next node,

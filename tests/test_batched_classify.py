@@ -55,7 +55,8 @@ def test_density_evaluations_do_not_grow_with_nodes(curve, jet_calls):
     (nodes64, classify64, report64), (nodes256, classify256, report256) = counts[64], counts[256]
     assert nodes256 > 3 * nodes64
     assert classify64 <= CLASSIFY_BOUND and classify256 <= CLASSIFY_BOUND
-    # the trace's tangents, the swallowtail brackets and Newton steps add a few calls
+    # the swallowtail search adds a few calls: one pass over the traced nodes for
+    # its brackets, and its Newton steps
     assert report256 <= 2 * report64 < nodes64
 
 

@@ -1,12 +1,12 @@
 """A tighter Horner-pass budget for one cold classification report.
 
-The trace evaluates the density once for the nodes of all its lines and
-runs, and the swallowtail search takes its bracket references from the
-node pass instead of evaluating the kernel again at those nodes.  A change
-that brings back a per-piece density call or the second node pass exceeds
-the budget.  Classification takes one chart_jet pass over all its rows,
-for lam, its gradient, the chart components and the front criteria, and
-one field_jets pass over the singular rows, for the lift ranks and Psi.
+The trace returns polylines only and evaluates no jet at their nodes; the
+swallowtail search evaluates the nodes once, with one chart_jet pass that
+gives both vectors of det(gamma', eta), before its Newton steps.  A change
+that brings back a node pass in the trace, or a second one in the search,
+exceeds the budget.  Classification takes one chart_jet pass over all its
+rows, for lam, its gradient, the chart components and the front criteria,
+and one field_jets pass over the singular rows, for the lift ranks and Psi.
 """
 
 import numpy as np
@@ -15,7 +15,7 @@ import pytest
 from affsphere import surfaces
 from affsphere import singularities as sg
 from affsphere.paracomplex import ParaPoly
-from affsphere.surfaces import Domain, ParaCurve, Surface
+from affsphere.surfaces import Domain, ParaCurve, Surface, compile_surface
 
 CURVES = {
     "z2z3": ParaCurve(ParaPoly.monomial(2), ParaPoly.monomial(3)),
@@ -23,9 +23,22 @@ CURVES = {
 }
 # Horner passes of one cold classification_report at res 64 on Domain(), the
 # three of Surface._build included, as measured with one chart_jet and one
-# field_jets pass in classification; separate density_jet, chart_derivatives
-# and chart_jet passes for the same rows made 27 on both curves.
-HORNER_BUDGET = {"z2z3": 25, "z3z4": 25}
+# field_jets pass in classification and one chart_jet pass over the traced
+# nodes; a second node pass in the trace made 25 on both curves.
+HORNER_BUDGET = {"z2z3": 24, "z3z4": 24}
+# Surface kernel methods, each counted apart
+KERNELS = ("chart_jet", "field_jets", "density_jet", "chart_derivatives")
+
+
+def _count_kernel_calls(monkeypatch):
+    calls = {}
+    for method in KERNELS:
+        def counted(self, u, v, _method=method, _original=getattr(Surface, method)):
+            calls[_method] = calls.get(_method, 0) + 1
+            return _original(self, u, v)
+
+        monkeypatch.setattr(Surface, method, counted)
+    return calls
 
 
 @pytest.mark.parametrize("name", sorted(HORNER_BUDGET))
@@ -48,13 +61,24 @@ def test_classification_takes_each_jet_once(name, monkeypatch):
     curve = CURVES[name]
     traced = sg.trace_singular_curves(curve, Domain(), 64)
     nodes = np.concatenate([sc.points for sc in traced])
-    calls = {}
-    for method in ("chart_jet", "field_jets", "density_jet", "chart_derivatives"):
-        def counted(self, u, v, _method=method, _original=getattr(Surface, method)):
-            calls[_method] = calls.get(_method, 0) + 1
-            return _original(self, u, v)
-
-        monkeypatch.setattr(Surface, method, counted)
+    calls = _count_kernel_calls(monkeypatch)
     classes = sg._classify_points(curve, nodes)
     assert sg.TAG_FRONTAL_NOT_FRONT in {cls.tag for cls in classes}
     assert calls == {"chart_jet": 1, "field_jets": 1}
+
+
+@pytest.mark.parametrize("name", sorted(CURVES))
+def test_trace_evaluates_no_jet_and_the_search_one_before_newton(name, monkeypatch):
+    curve = CURVES[name]
+    calls = _count_kernel_calls(monkeypatch)
+    traced = sg.trace_singular_curves(curve, Domain(), 64)
+    assert calls == {}
+    before_newton = []
+
+    def newton(surf, seeds, reach):
+        before_newton.append(dict(calls))
+        return seeds
+
+    monkeypatch.setattr(sg, "_swallowtail_newton", newton)
+    assert len(sg._swallowtail_roots(compile_surface(curve), traced)) > 0
+    assert before_newton == [{"chart_jet": 1}]

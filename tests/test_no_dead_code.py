@@ -8,11 +8,15 @@ package code, ``perfbench/``, ``demos/`` or ``affsphere.__all__``; a public
 method only counts as named where it appears as an attribute or in a string.
 Every optional parameter of a private function or method must be left at its
 default by some package call; a knob that every caller sets is a required
-parameter.
+parameter.  Every identifier in single or double backticks in a package
+docstring or comment must name a package definition, so a deleted helper
+leaves no prose that still names it.
 """
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from fnmatch import fnmatch
 from pathlib import Path
@@ -27,6 +31,13 @@ USER_TREES = (ROOT / "perfbench", ROOT / "demos")
 # private definitions kept although no package code names them, with the reason
 ALLOWED_UNREFERENCED = {
     "_bracket_root": "one-lane harness of the brentq-equality tests of the lane solver",
+}
+
+
+# backticked names in package prose that are not package definitions, with the reason
+ALLOWED_TICKED = {
+    "json.dump": "io: the standard library writer whose bytes the JSON writers reproduce",
+    "brentq": "singularities: scipy's solver, whose floats the lane solver _brent returns",
 }
 
 
@@ -190,3 +201,41 @@ def _knobs_always_set():
 def test_every_private_knob_is_left_at_its_default_somewhere():
     always_set = _knobs_always_set()
     assert not always_set, f"optional parameters every package call sets: {always_set}"
+
+
+# an identifier path in `single` or ``double`` backticks
+_TICKED = re.compile(r"(?<!`)(`{1,2})([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)\1(?!`)")
+
+
+def _definitions_and_ticked_names():
+    """The names the package defines (its modules, functions, classes and
+    methods at any depth, their parameters, and module and class attributes),
+    and (file, name) of each backticked identifier in its docstrings and comments."""
+    defs = {path.stem for path in SRC.glob("*.py")}
+    ticked = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        prose = [tok.string for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                 if tok.type == tokenize.COMMENT]
+        for node in ast.walk(ast.parse(text, filename=str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.add(node.name)
+            elif isinstance(node, ast.arg):
+                defs.add(node.arg)
+            if isinstance(node, (ast.Module, ast.ClassDef)):
+                defs.update(name for name, _, _ in _public_definitions(node))
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                prose.append(ast.get_docstring(node, clean=False) or "")
+        ticked += [(path.name, m.group(2)) for doc in prose for m in _TICKED.finditer(doc)]
+    return defs, ticked
+
+
+def test_every_backticked_name_in_package_prose_is_a_package_definition():
+    defs, ticked = _definitions_and_ticked_names()
+    undefined = sorted({
+        f"{name} ({where})" for where, name in ticked
+        if name not in ALLOWED_TICKED and not all(part in defs for part in name.split("."))
+    })
+    assert not undefined, f"backticked names in docstrings or comments that the package does not define: {undefined}"
+    stale = [name for name in ALLOWED_TICKED if name not in {name for _, name in ticked}]
+    assert not stale, f"allowlisted backticked names no docstring or comment names: {stale}"

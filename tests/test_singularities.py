@@ -57,22 +57,14 @@ def test_trace_quad_cubic_locus():
     assert sides == [-1, 1]
 
 
-def test_trace_refinement_and_tangents():
+def test_trace_refines_every_node():
     curves = sg.trace_singular_curves(QUAD_CUBIC, BOX, 64)
     surf = compile_surface(QUAD_CUBIC)
     for sc in curves:
         if sc.kind != "traced":
             continue
-        for q, tan, flag in zip(sc.points, sc.tangents, sc.degenerate_flags):
+        for q in sc.points:
             assert abs(surf.fields["density"](q[0], q[1])) < 1e-11
-            assert not flag
-            _, gu, gv = surf.density_jet(float(q[0]), float(q[1]))
-            rot = np.array([-gv, gu])
-            rot = rot / np.hypot(*rot)
-            assert abs(abs(tan @ rot) - 1) < 1e-9
-        steps = np.diff(sc.points, axis=0)
-        dots = np.einsum("ij,ij->i", sc.tangents[:-1], steps)
-        assert np.all(dots > 0)
 
 
 def test_trace_empty_cases():
