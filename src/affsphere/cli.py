@@ -198,11 +198,11 @@ def cmd_classify(args) -> int:
 def _snap_probe(curve, domain, res, p):
     """Pull a probe onto the singular set when it is within half a grid cell.
 
-    Nearest-point Newton steps on lam from p: they stop once |lam| <= tol
-    (the singular tolerance of the domain), give up where the gradient
-    vanishes or an iterate is more than half a cell from p, and after 60
-    steps keep the iterate only if |lam| <= 100 tol.  A probe that gives up
-    is returned as given.
+    Nearest-point Newton steps on lam from p: they stop once |lam| <= tol,
+    give up where the gradient vanishes or an iterate is more than half a
+    cell from p, and after 60 steps keep the iterate only if |lam| <= 100
+    tol.  tol is the classifier's singular threshold at the point tested
+    (`_point_tols`), not the domain's.  A probe that gives up is returned as given.
     """
     surf = compile_surface(curve)
     cell = 0.5 * float(
@@ -211,12 +211,12 @@ def _snap_probe(curve, domain, res, p):
             (domain.v1 - domain.v0) / max(res - 1, 1),
         )
     )
-    tol = singularities.tolerances_for(curve, domain.radius).sing
-    if abs(surf.area_density(*p)) <= tol:
+    if abs(surf.area_density(*p)) <= singularities._point_tols(curve, p).sing:
         return p
     u, v = float(p[0]), float(p[1])
     for _ in range(60):
-        lam, gu, gv = surf.density_jet(u, v)
+        lam, (gu, gv), _, _ = surf.chart_jet(u, v)
+        tol = singularities._point_tols(curve, (u, v)).sing
         g2 = gu * gu + gv * gv
         if abs(lam) <= tol or g2 == 0.0:
             break
@@ -224,7 +224,7 @@ def _snap_probe(curve, domain, res, p):
         if np.hypot(u - p[0], v - p[1]) > cell:
             return p
     else:
-        lam, tol = surf.density_jet(u, v)[0], 100 * tol
+        lam, tol = surf.chart_jet(u, v)[0], 100 * singularities._point_tols(curve, (u, v)).sing
     if abs(lam) <= tol and np.hypot(u - p[0], v - p[1]) <= cell:
         return float(u), float(v)
     return p

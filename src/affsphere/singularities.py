@@ -82,7 +82,7 @@ class TraceRequired(RuntimeError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Scale-aware thresholds; S = coefficient scale x domain radius.
+    """Scale-aware thresholds; S = coefficient scale x max(1, radius) (`_point_tols`).
 
     branch is the one first-derivative tolerance, of the branch-point and
     frontal-not-front tests alike.  Fields are numbers, or arrays over rows.
@@ -91,10 +91,6 @@ class Tolerances:
     sing: float
     deg: float
     branch: float
-
-    def rows(self, idx):
-        """Tolerances of the selected rows, when the fields are arrays over rows."""
-        return Tolerances(self.sing[idx], self.deg[idx], self.branch[idx])
 
 
 def tolerances_for(curve, radius=1.0) -> Tolerances:
@@ -179,10 +175,10 @@ def null_vector(curve, p):
     """
     surf = compile_surface(curve)
     tols = _point_tols(curve, p)
-    lam = float(surf.area_density(float(p[0]), float(p[1])))
+    lam, _, _, (comps, _, _) = surf.chart_jet(float(p[0]), float(p[1]))
     if abs(lam) > tols.sing:
         raise NotSingular(f"|lam| = {abs(lam):.3e} exceeds {tols.sing:.3e}")
-    eta, norm = _null_direction(_chart_matrix(surf, float(p[0]), float(p[1])))
+    eta, norm = _null_direction(_chart(*comps, surf.unit_sq))
     if norm <= tols.branch:
         raise BranchPointError("differential vanishes; no null direction")
     return eta
@@ -641,9 +637,9 @@ class SingularClass:
     degenerate: bool
 
 
-def _classify_rows(surf, p, tols):
-    """The singular-point pipeline on the rows of p, an (n, 2) array, with
-    their Tolerances tols, from one chart_jet and one field_jets pass.
+def _classify_rows(surf, p):
+    """The singular-point pipeline on the rows of p, an (n, 2) array, with the
+    thresholds at each row, from one chart_jet and one field_jets pass.
 
     Decision order per row: regular; branch point; the two frontal-not-front
     conditions; degenerate gradient; then the front criteria (`_front_jet`).
@@ -660,6 +656,7 @@ def _classify_rows(surf, p, tols):
     jet = surf.chart_jet(u, v)
     lam, (gu, gv), _, (comps, _, _) = jet
     grad = np.hypot(gu, gv)
+    tols = _point_tols(surf.curve, p)
     degenerate = grad <= tols.deg
     tags = np.full(len(p), TAG_REGULAR, dtype=object)
     det0, ddet, psi0, dpsi0, rank = (np.full(len(p), None, dtype=object) for _ in range(5))
@@ -669,12 +666,13 @@ def _classify_rows(surf, p, tols):
     eta, eta_norm = _null_direction(_chart(*comps, surf.unit_sq))
     x, nu = _lift_frames(surf, u[rows], v[rows])
     rank[rows] = _lift_ranks(x, nu, eta).tolist()
-    branch = np.max(np.abs(comps), axis=0) <= tols.branch[rows]
-    kinds = _fnf_kind(surf, comps, tols.rows(rows))
+    row_tols = _point_tols(surf.curve, p[rows])
+    branch = np.max(np.abs(comps), axis=0) <= row_tols.branch
+    kinds = _fnf_kind(surf, comps, row_tols)
     fnf = np.array([k is not None for k in kinds], dtype=bool) & ~branch
     tags[rows[branch]] = TAG_BRANCH
     tags[rows[fnf]] = TAG_FRONTAL_NOT_FRONT
-    line = fnf & ~(eta_norm <= tols.branch[rows])
+    line = fnf & ~(eta_norm <= row_tols.branch)
     if line.any():  # most curves have no frontal-not-front rows
         a, b = _psi(x.rows(line), nu.rows(line), _line_directions(kinds[line]), eta[line])
         psi0[rows[line]], dpsi0[rows[line]] = a.tolist(), b.tolist()
@@ -700,7 +698,7 @@ def _classify_points(curve, pts) -> list:
     p = _point_pairs(pts)
     if not len(p):  # an empty batch would still pay numpy's per-call cost in every stage
         return []
-    tags, degenerate, evidence, *_ = _classify_rows(compile_surface(curve), p, _point_tols(curve, p))
+    tags, degenerate, evidence, *_ = _classify_rows(compile_surface(curve), p)
     return [
         SingularClass(tag=tag, point=(pu, pv), evidence=Evidence(*ev), degenerate=deg)
         for tag, pu, pv, deg, *ev in zip(tags, p[:, 0].tolist(), p[:, 1].tolist(), degenerate.tolist(), *evidence)
@@ -806,7 +804,7 @@ def _null_line_psi(curve, domain):
     if not lines:
         return np.zeros(0), np.zeros(0)
     p = np.concatenate([pts[9::9] for _, pts in lines])
-    _, _, evidence, rows, x, nu = _classify_rows(surf, p, _point_tols(curve, p))
+    _, _, evidence, rows, x, nu = _classify_rows(surf, p)
     dpsi0 = evidence[5][rows]  # Evidence.dpsi0 of the singular rows
     line = np.flatnonzero([d is not None for d in dpsi0])
     # Frobenius norms, summed in np.linalg.norm's order

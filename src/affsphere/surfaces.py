@@ -79,11 +79,6 @@ class Domain:
             raise InvalidDomain(str(exc)) from exc
         return cls(*vals)
 
-    @property
-    def radius(self):
-        """Largest coordinate magnitude over the rectangle corners."""
-        return max(abs(self.u0), abs(self.u1), abs(self.v0), abs(self.v1))
-
     def axes(self, nu, nv):
         if nu < 2 or nv < 2:
             raise InvalidDomain(f"resolution {nu}x{nv} below 2x2")
@@ -230,10 +225,10 @@ class Surface:
     K = Int (G dF - F dG), K', K'', F''' and G''' (the last two give the
     Hessian of the density and the partials of the chart matrix).  Points
     have two kernels, ``field_jets`` (and the Jet2 views of it) and
-    ``chart_jet``, of which ``density_jet`` and ``chart_derivatives`` are
-    projections.  They use planar Horner on Python floats, for s = +1 two
-    passes of the grids' real Horner (``_horner_real``) in the null
-    coordinates u + v and u - v.  On arrays of points each makes one Horner
+    ``chart_jet``, of which ``chart_derivatives`` is the one projection.
+    They use planar Horner on Python floats, for s = +1 two passes of the
+    grids' real Horner (``_horner_real``) in the null coordinates u + v and
+    u - v.  On arrays of points each makes one Horner
     pass over a table stacking the lists it needs (``_eval``), bit for bit
     the per-point values (``_horner``); grids run
     tensor Horner over dense (u, v) coefficient tables (``grid_tables``), the
@@ -374,8 +369,8 @@ class Surface:
         The chart components are three 4-tuples: (f1u, f2u, g1u, g2u), the
         components of F' and G'; their u partials, the components of F'' and
         G''; and their v partials, the components of e F'' and e G''.  It is
-        the one point kernel of the density's jets and the chart matrix:
-        density_jet and chart_derivatives are projections of it.
+        the one float point kernel of the density's jets and the chart
+        matrix: chart_derivatives is its one projection.
         """
         s = self.unit_sq
         dF, d2F, d3F, dG, d2G, d3G = self._eval((1, 2, 9, 4, 5, 10), u, v)
@@ -384,11 +379,6 @@ class Surface:
         (f1, f2), (g1, g2), (a1, a2), (b1, b2) = (_re_im(w, s) for w in (dF, dG, d2F, d2G))
         comps = ((f1, f2, g1, g2), (a1, a2, b1, b2), (s * a2, a1, s * b2, b1))
         return s * _mod_diff(dF, dG, s), grad, hess, comps
-
-    def density_jet(self, u, v):
-        """(density, d/du, d/dv) at a float point or at arrays of points, of chart_jet."""
-        lam, grad, _, _ = self.chart_jet(u, v)
-        return lam, *grad
 
     def chart_derivatives(self, u, v):
         """(f1u, f2u, g1u, g2u), the components of F' and G': chart_jet's first chart components."""
@@ -435,7 +425,7 @@ class Surface:
 
     def grad_density(self, u, v):
         if isinstance(u, float) or isinstance(v, float):
-            return self.density_jet(float(u), float(v))[1:]
+            return tuple(self.chart_jet(float(u), float(v))[1])
         return self._exact_density_jet(u, v)[1:]
 
     def _exact_density_jet(self, u, v):

@@ -7,6 +7,7 @@ that brings back a node pass in the trace, or a second one in the search,
 exceeds the budget.  Classification takes one chart_jet pass over all its
 rows, for lam, its gradient, the chart components and the front criteria,
 and one field_jets pass over the singular rows, for the lift ranks and Psi.
+`null_vector` takes lam and the chart components from one chart_jet call.
 """
 
 import numpy as np
@@ -27,12 +28,12 @@ CURVES = {
 # nodes; a second node pass in the trace made 25 on both curves.
 HORNER_BUDGET = {"z2z3": 24, "z3z4": 24}
 # Surface kernel methods, each counted apart
-KERNELS = ("chart_jet", "field_jets", "density_jet", "chart_derivatives")
+KERNELS = ("chart_jet", "field_jets", "chart_derivatives")
 
 
-def _count_kernel_calls(monkeypatch):
+def _count_kernel_calls(monkeypatch, methods=KERNELS):
     calls = {}
-    for method in KERNELS:
+    for method in methods:
         def counted(self, u, v, _method=method, _original=getattr(Surface, method)):
             calls[_method] = calls.get(_method, 0) + 1
             return _original(self, u, v)
@@ -65,6 +66,14 @@ def test_classification_takes_each_jet_once(name, monkeypatch):
     classes = sg._classify_points(curve, nodes)
     assert sg.TAG_FRONTAL_NOT_FRONT in {cls.tag for cls in classes}
     assert calls == {"chart_jet": 1, "field_jets": 1}
+
+
+def test_null_vector_takes_one_chart_jet_call(monkeypatch):
+    curve = CURVES["z3z4"]
+    compile_surface(curve)
+    calls = _count_kernel_calls(monkeypatch, KERNELS + ("_density",))
+    sg.null_vector(curve, (1.0, 1.0))
+    assert calls == {"chart_jet": 1}
 
 
 @pytest.mark.parametrize("name", sorted(CURVES))

@@ -3,11 +3,13 @@
 `cli._snap_probe` pulls a probe onto {lam = 0} by nearest-point Newton steps:
 it keeps a singular probe, stops at |lam| <= tol, gives up on a zero
 gradient or a step beyond half a grid cell, and after 60 steps accepts
-|lam| <= 100 tol.  Classification takes its front criteria, its swallowtail
-roots and Psi from closed-form jets: Brent's method does not run in
-`_classify_points`, `_swallowtail_roots`, `ccr_psi` or `ccr_residual`, and
-the last two do not run the swallowtail Newton either; each takes two
-kernel passes, the classifier's chart_jet and field_jets.
+|lam| <= 100 tol.  tol is the classifier's threshold at the point tested,
+so a probe's row of a report does not depend on the domain.
+Classification takes its front criteria, its swallowtail roots and Psi from
+closed-form jets: Brent's method does not run in `_classify_points`,
+`_swallowtail_roots`, `ccr_psi` or `ccr_residual`, and the last two do not
+run the swallowtail Newton either; each takes two kernel passes, the
+classifier's chart_jet and field_jets.
 """
 
 import json
@@ -49,12 +51,12 @@ def _counting(monkeypatch, owner, name):
 
 
 def _snap(monkeypatch, p, res=8, sing=None):
-    """(snapped probe, density_jet calls) of `_snap_probe` on CIRCLE over
+    """(snapped probe, chart_jet calls) of `_snap_probe` on CIRCLE over
     Domain(), with the singular tolerance replaced by sing when given."""
     if sing is not None:
         monkeypatch.setattr(sg, "tolerances_for", lambda curve, radius: sg.Tolerances(sing, 1e-7, 1e-9))
     compile_surface(CIRCLE)
-    jets = _counting(monkeypatch, Surface, "density_jet")
+    jets = _counting(monkeypatch, Surface, "chart_jet")
     return cli._snap_probe(CIRCLE, Domain(), res, p), len(jets)
 
 
@@ -67,7 +69,7 @@ def test_snap_keeps_a_singular_probe(monkeypatch):
 def test_snap_converges_onto_the_circle(monkeypatch):
     q, calls = _snap(monkeypatch, (0.3, 0.45))
     assert q != (0.3, 0.45) and 1 < calls < 60
-    lam = compile_surface(CIRCLE).density_jet(*q)[0]
+    lam = compile_surface(CIRCLE).chart_jet(*q)[0]
     assert abs(lam) <= sg.tolerances_for(CIRCLE, 1.0).sing
     assert abs(np.hypot(*q) - 0.5) < 1e-9
 
@@ -88,7 +90,7 @@ def test_snap_gives_up_on_a_step_beyond_half_a_cell(monkeypatch):
 def test_snap_after_60_steps_accepts_within_100_tol(monkeypatch):
     q, calls = _snap(monkeypatch, (0.6, 0.1), sing=1e-18)
     assert calls == 61  # the fallback evaluation ran
-    lam = compile_surface(CIRCLE).density_jet(*q)[0]
+    lam = compile_surface(CIRCLE).chart_jet(*q)[0]
     assert 1e-18 < abs(lam) <= 1e-16
     assert abs(np.hypot(*q) - 0.5) < 1e-15
 
@@ -97,6 +99,39 @@ def test_snap_after_60_steps_keeps_the_probe_beyond_100_tol(monkeypatch):
     p = (0.41, 0.29)
     q, calls = _snap(monkeypatch, p, sing=0.0)
     assert calls == 61 and q is p
+
+
+# -- the snap's threshold is the classifier's, at the point tested ------------------
+
+# 6e-10 off the cuspidal edge of (z^2, z^3), |lam| = 5.0e-9: between the
+# singular thresholds of radius 1 and radius 3
+EDGE_PROBE = (0.867805519034339, -0.5555555558825904)
+DOMAINS = ("-1,1,-1,1", "-1.5,1.5,-1.5,1.5", "-3,3,-3,3")
+
+
+def _probe_rows(tmp_path, probes, domain):
+    """The probes' rows of a CLI classify report of QUAD_CUBIC at res 64 on domain."""
+    path, out = tmp_path / "curve.json", tmp_path / "report.json"
+    io.save_curve(QUAD_CUBIC, str(path))
+    args = ["classify", "--curve", str(path), "--res", "64", f"--domain={domain}", "--out", str(out)]
+    assert cli.main(args + [f"--probe={u!r},{v!r}" for u, v in probes]) == 0
+    return json.loads(out.read_text())["points"][-len(probes):]
+
+
+def test_a_probe_row_does_not_depend_on_the_domain(tmp_path):
+    small, large = (_probe_rows(tmp_path, [EDGE_PROBE], d)[0] for d in (DOMAINS[0], DOMAINS[2]))
+    assert small == large
+    assert (large["class"], large["u"], large["v"]) == (sg.TAG_CUSPIDAL_EDGE, 0.8678055195451838, -0.5555555555555556)
+
+
+def test_probes_jittered_off_traced_nodes_keep_their_rows_on_every_domain(tmp_path):
+    nodes = np.concatenate([sc.points for sc in sg.trace_singular_curves(QUAD_CUBIC, Domain(), 64)])
+    rng = np.random.default_rng(30)
+    picked = nodes[rng.choice(len(nodes), 8, replace=False)] + rng.uniform(-1e-8, 1e-8, (8, 2))
+    probes = [tuple(q) for q in picked.tolist()]
+    rows = [_probe_rows(tmp_path, probes, d) for d in DOMAINS]
+    assert rows[0] == rows[1] == rows[2]
+    assert sg.TAG_REGULAR not in {row["class"] for row in rows[0]}
 
 
 # -- classification without solvers ------------------------------------------------

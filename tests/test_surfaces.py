@@ -278,7 +278,6 @@ def test_degree_cap_enforced_at_curve_boundary():
 def test_domain_parse_and_validation():
     d = Domain.parse("-1, 2, 0.5, 3")
     assert (d.u0, d.u1, d.v0, d.v1) == (-1.0, 2.0, 0.5, 3.0)
-    assert d.radius == 3.0
     with pytest.raises(InvalidDomain):
         Domain(1, -1, 0, 1)
     with pytest.raises(InvalidDomain):
